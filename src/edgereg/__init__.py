@@ -12,12 +12,9 @@ from .betti import (
     betti_table,
     compare_tables,
     has_linear_resolution,
-    homology_ranks,
     lcm_lattice,
     private_variable_regularity,
-    quotient_regularity,
     regularity,
-    upper_koszul_slice,
 )
 from .constructions import (
     ColonStructure,
@@ -50,7 +47,6 @@ from .formulas import (
     formula_cycle,
     formula_for_family,
     formula_forest,
-    formula_power_increment,
     formula_unicyclic,
 )
 from .ideals import (

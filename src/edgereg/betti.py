@@ -17,19 +17,11 @@ its homology is computed through the covered-complex pipeline in
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotSquarefreeError, ResourceCapError, ZeroIdealError
-from .homology import (
-    FIELD_Q,
-    FIELDS,
-    SimplicialComplexSlice,
-    covered_homology,
-    enumerate_union_faces,
-    maximal_masks,
-)
+from .homology import FIELD_Q, _check_field, covered_homology
 from .ideals import MonomialIdeal
 from .ring import Monomial, VariableSet
 
@@ -49,9 +41,6 @@ class LcmLattice:
     @property
     def size(self) -> int:
         return len(self.multidegrees)
-
-    def __contains__(self, m: Monomial) -> bool:
-        return m in set(self.multidegrees)
 
 
 def _dense_generators(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
@@ -81,54 +70,6 @@ def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLatt
         ideal=ideal,
         multidegrees=tuple(Monomial.from_dense(variables, b) for b in tuples),
     )
-
-
-# -- upper Koszul slices --------------------------------------------------
-
-
-def _is_lattice_multidegree(gens: list[tuple[int, ...]], b: tuple[int, ...]) -> bool:
-    # b is a join of generators iff it is the join of the generators
-    # dividing it.
-    join = None
-    for g in gens:
-        if all(x <= y for x, y in zip(g, b)):
-            join = g if join is None else tuple(map(max, zip(join, g)))
-    return join == b
-
-
-def upper_koszul_slice(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplexSlice:
-    """The squarefree slice complex of I at the multidegree b.
-
-    Vertices are the variables in supp(b); a subset tau is a face exactly
-    when x^b / x^tau lies in I.  Faces are materialized, so this is meant
-    for desk-scale multidegrees; the Betti engine itself uses the covered
-    form.
-    """
-    if ideal.is_zero:
-        raise ZeroIdealError("slices of the zero ideal are undefined")
-    if b.variables != ideal.variables:
-        raise ValueError("multidegree over a different variable set")
-    gens = _dense_generators(ideal)
-    bt = b.dense()
-    if not _is_lattice_multidegree(gens, bt):
-        raise ValueError(f"{b} is not in the lcm lattice of {ideal}")
-    support = sorted(b.support)
-    local = {v: i for i, v in enumerate(support)}
-    covers = []
-    for g in gens:
-        if all(x <= y for x, y in zip(g, bt)):
-            mask = 0
-            for v in support:
-                if g[v] < bt[v]:
-                    mask |= 1 << local[v]
-            covers.append(mask)
-    faces = enumerate_union_faces(maximal_masks(covers)) if covers else set()
-    return SimplicialComplexSlice(labels=tuple(support), faces=faces)
-
-
-def homology_ranks(slice_: SimplicialComplexSlice, field: str = FIELD_Q) -> dict[int, int]:
-    """Reduced homology ranks of a slice, by dimension."""
-    return slice_.homology_ranks(field)
 
 
 # -- Betti tables ----------------------------------------------------------
@@ -245,36 +186,18 @@ def _slice_betti(
     return {d + 1: r for d, r in hom.items() if r}
 
 
-def _slice_batch(args) -> list[tuple[tuple[int, ...], dict[int, int]]]:
-    gens, batch, field = args
-    return [(b, _slice_betti(gens, b, field)) for b in batch]
-
-
 @lru_cache(maxsize=4096)
 def _betti_multidegrees(
-    names: tuple[str, ...],
     gens: tuple[tuple[int, ...], ...],
     field: str,
     lattice_cap: int,
-    workers: int,
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    lattice = _lattice_tuples(list(gens), lattice_cap)
     gen_list = list(gens)
-    results: list[tuple[tuple[int, ...], dict[int, int]]] = []
-    if workers > 1 and len(lattice) > 64:
-        chunk = max(16, len(lattice) // (workers * 8))
-        batches = [lattice[k : k + chunk] for k in range(0, len(lattice), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_slice_batch, [(gen_list, batch, field) for batch in batches]):
-                results.extend(part)
-    else:
-        for b in lattice:
-            results.append((b, _slice_betti(gen_list, b, field)))
     out = []
-    for b, ranks in results:
+    for b in _lattice_tuples(gen_list, lattice_cap):
+        ranks = _slice_betti(gen_list, b, field)
         if ranks:
             out.append((b, tuple(sorted(ranks.items()))))
-    out.sort(key=lambda item: (sum(item[0]), item[0]))
     return tuple(out)
 
 
@@ -282,17 +205,12 @@ def betti_table(
     ideal: MonomialIdeal,
     field: str = FIELD_Q,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
-    workers: int = 1,
 ) -> BettiTable:
     """The full graded/multigraded Betti table of a nonzero monomial ideal."""
     if ideal.is_zero:
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
-    if field not in FIELDS:
-        raise ValueError(f"unknown field {field!r}; expected one of {FIELDS}")
-    gens = tuple(_dense_generators(ideal))
-    per_b = _betti_multidegrees(
-        ideal.variables.names, gens, field, lattice_cap, workers
-    )
+    _check_field(field)
+    per_b = _betti_multidegrees(tuple(_dense_generators(ideal)), field, lattice_cap)
     multigraded: dict[tuple[int, Monomial], int] = {}
     for b, ranks in per_b:
         bm = Monomial.from_dense(ideal.variables, b)
@@ -305,15 +223,9 @@ def regularity(
     ideal: MonomialIdeal,
     field: str = FIELD_Q,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
-    workers: int = 1,
 ) -> int:
     """max{j - i : beta_{i,j} != 0}."""
-    return betti_table(ideal, field, lattice_cap, workers).regularity()
-
-
-def quotient_regularity(ideal: MonomialIdeal, field: str = FIELD_Q) -> int:
-    """Regularity of the quotient ring S/I, one less than that of I."""
-    return regularity(ideal, field) - 1
+    return betti_table(ideal, field, lattice_cap).regularity()
 
 
 def private_variable_regularity(ideal: MonomialIdeal) -> int | None:

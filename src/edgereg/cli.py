@@ -15,9 +15,9 @@ import sys
 
 from .betti import betti_table
 from .constructions import edge_ideal, ordered_power_basis
-from .digraph import Family, WeightedDigraph, classify, load_graph
+from .digraph import WeightedDigraph, load_graph
 from .errors import EdgeRegError
-from .formulas import formula_cycle, formula_for_family, formula_forest, formula_unicyclic
+from .formulas import FORMULA_BY_FAMILY, formula_for_family
 from .ideals import MonomialIdeal, parse_ideal, power
 from .ring import VariableSet
 from .verify import (
@@ -53,10 +53,7 @@ def _ideal_from_args(args) -> MonomialIdeal:
         ideal = parse_ideal(args.ideal, VariableSet(names))
     else:
         raise EdgeRegError("provide --graph FILE or --ideal TEXT")
-    t = getattr(args, "power", 1) or 1
-    if t > 1:
-        ideal = power(ideal, t)
-    return ideal
+    return power(ideal, args.power)
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
@@ -110,27 +107,11 @@ def cmd_reg(args) -> int:
 def cmd_formula(args) -> int:
     graph = _load_graph_arg(args.graph)
     if args.family == "auto":
-        result = _formula_auto(graph, args.t)
+        result = formula_for_family(graph, args.t)
     else:
-        fn = {"cycle": formula_cycle, "forest": formula_forest, "unicyclic": formula_unicyclic}[args.family]
-        result = fn(graph, args.t)
+        result = FORMULA_BY_FAMILY[args.family](graph, args.t)
     print(json.dumps(result.to_json_dict(), sort_keys=True, indent=2))
     return 0
-
-
-def _formula_auto(graph: WeightedDigraph, t: int):
-    """Pick the formula from the classified family; for Other, fall back on
-    the underlying shape so reoriented instances still get a flagged value."""
-    from .digraph import analyze_cycle, analyze_unicyclic
-
-    kind = classify(graph).kind
-    if kind == Family.ROOTED_FOREST:
-        return formula_forest(graph, t)
-    if kind == Family.ORIENTED_CYCLE or analyze_cycle(graph) is not None:
-        return formula_cycle(graph, t)
-    if kind == Family.UNICYCLIC or analyze_unicyclic(graph) is not None:
-        return formula_unicyclic(graph, t)
-    return formula_for_family(graph, t)  # raises with the actual family named
 
 
 def cmd_verify(args) -> int:
@@ -226,10 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except EdgeRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (EdgeRegError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,15 +20,12 @@ on the instance and reported by the JSON loader on a diagnostic stream.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import EmptyGraphError, FamilyMismatchError, GraphFormatError
-from .ring import VariableSet
-
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+from .ring import _NAME_RE, VariableSet
 
 
 class Family(str, Enum):
@@ -73,7 +70,7 @@ class WeightedDigraph:
                 raise GraphFormatError(f"invalid vertex name {name!r}")
             if name in weights:
                 raise GraphFormatError(f"duplicate vertex {name!r}")
-            if not isinstance(w, int) or w < 1:
+            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise GraphFormatError(f"weight of {name!r} must be a positive integer, got {w!r}")
             vnames.append(name)
             weights[name] = w

@@ -137,33 +137,28 @@ def formula_forest(graph: WeightedDigraph, t: int) -> FormulaResult:
     return _result(graph, tag.kind, t, weight_violations(graph, Theorem.FOREST))
 
 
-_FAMILY_FORMULA = {
-    Family.ORIENTED_CYCLE: formula_cycle,
-    Family.ROOTED_FOREST: formula_forest,
-    Family.UNICYCLIC: formula_unicyclic,
+FORMULA_BY_FAMILY = {
+    "cycle": formula_cycle,
+    "forest": formula_forest,
+    "unicyclic": formula_unicyclic,
 }
 
 
 def formula_for_family(graph: WeightedDigraph, t: int) -> FormulaResult:
-    """Dispatch on the classified family (errors on Other)."""
-    tag = classify(graph)
-    fn = _FAMILY_FORMULA.get(tag.kind)
-    if fn is None:
-        raise FamilyMismatchError(
-            f"no closed form for family {tag.kind.value}", actual=tag.kind.value
-        )
-    return fn(graph, t)
+    """Dispatch on the classified family.
 
-
-def formula_power_increment(graph: WeightedDigraph, t: int) -> int:
-    """Regularity of the t-th power from the t=1 value.
-
-    Each power step adds max weight + 1, so the t-th value is the first
-    value plus (t - 1) * (w + 1).  Must agree with the direct formula.
+    Graphs classified Other still get a flagged prediction when their
+    underlying shape is a single cycle or unicyclic, so reoriented
+    instances are compared too; anything else raises.
     """
-    _check_t(t)
-    base = formula_for_family(graph, 1)
-    return base.value + (t - 1) * (graph.max_weight() + 1)
+    kind = classify(graph).kind
+    if kind == Family.ROOTED_FOREST:
+        return formula_forest(graph, t)
+    if kind == Family.ORIENTED_CYCLE or analyze_cycle(graph) is not None:
+        return formula_cycle(graph, t)
+    if kind == Family.UNICYCLIC or analyze_unicyclic(graph) is not None:
+        return formula_unicyclic(graph, t)
+    raise FamilyMismatchError(f"no closed form for family {kind.value}", actual=kind.value)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,16 @@
 """Reduced simplicial homology over Q or GF(2), exactly.
 
-Two representations are used:
-
-* an explicit face list (``SimplicialComplexSlice``), for complexes that
-  are small enough to enumerate directly; and
-* a covered form -- a union of full simplices given by their vertex
-  bitmasks -- which is how the Betti engine sees a slice.
-
-For the covered form we never enumerate faces until the complex has been
-shrunk.  A union of simplices is homotopy equivalent to the nerve of the
-cover, and the nerve of ``{M_1, ..., M_k}`` on vertex set V is again a
-union of simplices, covered by ``{W_v : v in V}`` with
-``W_v = {i : v in M_i}``.  Transposing back and forth strictly reduces
-the vertex count until it stabilizes (each side is bounded by the other
-side's cover count), and a complex whose maximal cover sets share a
-vertex is a cone, hence has no reduced homology.  All reductions preserve
-homotopy type, so reduced homology is computed on the small survivor.
+Complexes are given in covered form -- a union of full simplices given
+by their vertex bitmasks -- which is how the Betti engine sees a slice.
+Faces are never enumerated until the complex has been shrunk.  A union
+of simplices is homotopy equivalent to the nerve of the cover, and the
+nerve of ``{M_1, ..., M_k}`` on vertex set V is again a union of
+simplices, covered by ``{W_v : v in V}`` with ``W_v = {i : v in M_i}``.
+Transposing back and forth strictly reduces the vertex count until it
+stabilizes (each side is bounded by the other side's cover count), and a
+complex whose maximal cover sets share a vertex is a cone, hence has no
+reduced homology.  All reductions preserve homotopy type, so reduced
+homology is computed on the small survivor.
 
 Conventions: the void complex (no faces at all) has no homology in any
 degree; the complex containing only the empty face has reduced homology
@@ -212,63 +207,3 @@ def covered_homology(covers: list[int], nverts: int, field: str) -> dict[int, in
     key = _canonical_cover(live, nverts)
     return dict(_covered_homology_cached(key, field))
 
-
-class SimplicialComplexSlice:
-    """An explicit simplicial complex on a labeled vertex set.
-
-    Faces are stored as bitmasks over the local vertex order; ``labels``
-    maps local bit positions to caller-level identifiers (for the Betti
-    engine these are variable indices).
-    """
-
-    __slots__ = ("labels", "faces")
-
-    def __init__(self, labels: tuple, faces: set[int]):
-        closed = set(faces)
-        for f in faces:
-            # closure under subsets, so callers may pass facets only
-            sub = f
-            while True:
-                closed.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-                if len(closed) > MAX_FACES:
-                    raise ResourceCapError(
-                        f"complex exceeds the face cap MAX_FACES={MAX_FACES}"
-                    )
-        self.labels = tuple(labels)
-        self.faces = closed
-
-    @property
-    def is_void(self) -> bool:
-        return not self.faces
-
-    @property
-    def dimension(self) -> int:
-        if not self.faces:
-            return -2
-        return max(_popcount(f) for f in self.faces) - 1
-
-    def face_sets(self) -> list[frozenset]:
-        out = []
-        for f in sorted(self.faces):
-            out.append(
-                frozenset(self.labels[i] for i in range(f.bit_length()) if (f >> i) & 1)
-            )
-        return out
-
-    def face_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for f in self.faces:
-            d = _popcount(f) - 1
-            counts[d] = counts.get(d, 0) + 1
-        return counts
-
-    def homology_ranks(self, field: str = FIELD_Q) -> dict[int, int]:
-        """Reduced homology ranks by dimension, including explicit zeros."""
-        nonzero = homology_from_faces(self.faces, field)
-        if self.is_void:
-            return {}
-        out = {d: nonzero.get(d, 0) for d in range(-1, max(self.dimension, -1) + 1)}
-        return out

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    NotSquarefreeError,
-    ParseError,
-    VariableSetMismatchError,
-    ZeroIdealError,
-)
+from .errors import ParseError, VariableSetMismatchError, ZeroIdealError
 from .ring import Monomial, VariableSet, parse_monomial
 
 
@@ -253,11 +248,6 @@ def polarize(ideal: MonomialIdeal) -> Polarization:
     out = MonomialIdeal(polar_vars, gens)
     assert len(out) == len(ideal), "polarization must preserve the generator count"
     return Polarization(out, vmap)
-
-
-def require_squarefree(ideal: MonomialIdeal) -> None:
-    if not ideal.is_squarefree:
-        raise NotSquarefreeError(f"ideal {ideal} is not squarefree")
 
 
 # -- text form ------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import product as iter_product
 from typing import Callable, Iterable
 
@@ -28,7 +28,13 @@ from .constructions import (
 )
 from .digraph import WeightedDigraph, classify, make_cycle
 from .errors import ResourceCapError
-from .formulas import FormulaResult, formula_cycle, formula_forest, formula_unicyclic
+from .formulas import FORMULA_BY_FAMILY as _FORMULA_BY_FAMILY
+from .formulas import (
+    FormulaResult,
+    formula_cycle,
+    formula_forest,
+    formula_unicyclic,
+)
 from .ideals import (
     MonomialIdeal,
     colon_by_monomial,
@@ -42,6 +48,63 @@ from .ring import Monomial, VariableSet
 REPORT_VERSION = 1
 
 FAMILIES = ("cycle", "forest", "unicyclic", "raw-ideal")
+
+
+# -- records and reports -----------------------------------------------------
+
+
+class _Record:
+    """JSON form shared by every record type.
+
+    Every dataclass field is written, tuples as lists; ``elapsed_s`` is
+    rounded to microseconds and left out when timings are not wanted.
+    """
+
+    def to_json_dict(self, include_timings: bool = True) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "elapsed_s":
+                if not include_timings:
+                    continue
+                value = round(value, 6)
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
+
+
+class _Report:
+    """JSON form shared by every report type.
+
+    A report is its version, its ``kind``, its own dataclass fields other
+    than ``records``, its summary when it has one, and its records.
+    """
+
+    kind = ""
+
+    def summary(self) -> dict | None:
+        return None
+
+    def to_json_dict(self, include_timings: bool = True) -> dict:
+        out = {"report_version": REPORT_VERSION, "kind": self.kind}
+        for f in fields(self):
+            if f.name != "records":
+                out[f.name] = getattr(self, f.name)
+        summary = self.summary()
+        if summary is not None:
+            out["summary"] = summary
+        out["records"] = [r.to_json_dict(include_timings) for r in self.records]
+        return out
+
+    def to_json(self, include_timings: bool = True) -> str:
+        return json.dumps(self.to_json_dict(include_timings), sort_keys=True, indent=2)
+
+    def canonical_json(self) -> str:
+        """Timing-free canonical form; byte-identical across equal runs."""
+        return json.dumps(
+            self.to_json_dict(include_timings=False), sort_keys=True, separators=(",", ":"),
+        )
 
 
 # -- campaign specification ------------------------------------------------
@@ -77,7 +140,7 @@ class CampaignSpec:
 
 
 @dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(_Record):
     family: str
     instance: str
     n: int
@@ -92,25 +155,6 @@ class VerificationRecord:
     skipped: str | None = None
     elapsed_s: float = 0.0
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "family": self.family,
-            "instance": self.instance,
-            "n": self.n,
-            "t": self.t,
-            "weights": list(self.weights),
-            "field": self.field,
-            "formula_value": self.formula_value,
-            "admissible": self.admissible,
-            "violations": list(self.violations),
-            "engine_value": self.engine_value,
-            "match": self.match,
-            "skipped": self.skipped,
-        }
-        if include_timings:
-            out["elapsed_s"] = round(self.elapsed_s, 6)
-        return out
-
 
 CSV_COLUMNS = (
     "family", "instance", "n", "t", "weights", "field", "formula_value",
@@ -119,10 +163,10 @@ CSV_COLUMNS = (
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(_Report):
     spec: dict
     records: list[VerificationRecord]
-    kind: str = "campaign"
+    kind = "campaign"
 
     def summary(self) -> dict:
         matches = sum(1 for r in self.records if r.match is True)
@@ -144,26 +188,6 @@ class CampaignReport:
         if s["skipped"]:
             return 2
         return 0
-
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        return {
-            "report_version": REPORT_VERSION,
-            "kind": self.kind,
-            "spec": self.spec,
-            "summary": self.summary(),
-            "records": [r.to_json_dict(include_timings) for r in self.records],
-        }
-
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timings), sort_keys=True, indent=2)
-
-    def canonical_json(self) -> str:
-        """Timing-free canonical form; byte-identical across equal runs."""
-        return json.dumps(
-            self.to_json_dict(include_timings=False),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -366,51 +390,37 @@ def enumerate_instances(spec: CampaignSpec) -> list[CampaignInstance]:
 # -- instance evaluation -----------------------------------------------------
 
 
-_FORMULA_BY_FAMILY = {
-    "cycle": formula_cycle,
-    "forest": formula_forest,
-    "unicyclic": formula_unicyclic,
-}
-
-
 def _evaluate_instance(args: tuple) -> VerificationRecord:
     spec_dict, inst = args
     spec = CampaignSpec(**spec_dict)
     start = time.perf_counter()
     try:
         if spec.family == "raw-ideal":
+            # the polarization's regularity stands in for a closed form
             variables = VariableSet(inst.variable_names)
             ideal = power(parse_ideal(inst.ideal_text, variables), inst.t)
             plain = betti_table(ideal, spec.field, spec.lattice_cap)
             polar = betti_table(polarize(ideal).ideal, spec.field, spec.lattice_cap)
-            engine_value = plain.regularity()
-            formula_value = polar.regularity()
-            match = plain.graded_equal(polar)
-            return VerificationRecord(
-                family=spec.family, instance=inst.descriptor, n=inst.n, t=inst.t,
-                weights=inst.weights, field=spec.field,
-                formula_value=formula_value, admissible=True, violations=(),
-                engine_value=engine_value, match=match,
-                elapsed_s=time.perf_counter() - start,
+            outcome = dict(
+                formula_value=polar.regularity(), admissible=True,
+                engine_value=plain.regularity(), match=plain.graded_equal(polar),
             )
-        formula: FormulaResult = _FORMULA_BY_FAMILY[spec.family](inst.graph, inst.t)
-        ideal = power(edge_ideal(inst.graph), inst.t)
-        engine_value = regularity(ideal, spec.field, spec.lattice_cap)
-        match = (engine_value == formula.value) if formula.admissible else None
-        return VerificationRecord(
-            family=spec.family, instance=inst.descriptor, n=inst.n, t=inst.t,
-            weights=inst.weights, field=spec.field,
-            formula_value=formula.value, admissible=formula.admissible,
-            violations=formula.violations,
-            engine_value=engine_value, match=match,
-            elapsed_s=time.perf_counter() - start,
-        )
+        else:
+            formula: FormulaResult = _FORMULA_BY_FAMILY[spec.family](inst.graph, inst.t)
+            ideal = power(edge_ideal(inst.graph), inst.t)
+            engine_value = regularity(ideal, spec.field, spec.lattice_cap)
+            outcome = dict(
+                formula_value=formula.value, admissible=formula.admissible,
+                violations=formula.violations, engine_value=engine_value,
+                match=(engine_value == formula.value) if formula.admissible else None,
+            )
     except ResourceCapError as exc:
-        return VerificationRecord(
-            family=spec.family, instance=inst.descriptor, n=inst.n, t=inst.t,
-            weights=inst.weights, field=spec.field,
-            skipped=str(exc), elapsed_s=time.perf_counter() - start,
-        )
+        outcome = dict(skipped=str(exc))
+    return VerificationRecord(
+        family=spec.family, instance=inst.descriptor, n=inst.n, t=inst.t,
+        weights=inst.weights, field=spec.field,
+        elapsed_s=time.perf_counter() - start, **outcome,
+    )
 
 
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
@@ -503,7 +513,7 @@ REFERENCE_EXAMPLES: tuple[ReferenceExample, ...] = (
 
 
 @dataclass(frozen=True)
-class ReferenceRecord:
+class ReferenceRecord(_Record):
     name: str
     family: str
     t: int
@@ -519,46 +529,17 @@ class ReferenceRecord:
     # set only when the GF(2) regularity disagrees with the Q value
     engine_value_gf2: int | None = None
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "name": self.name,
-            "family": self.family,
-            "t": self.t,
-            "engine_value": self.engine_value,
-            "expected_engine": self.expected_engine,
-            "formula_value": self.formula_value,
-            "expected_formula": self.expected_formula,
-            "admissible": self.admissible,
-            "violations": list(self.violations),
-            "ok": self.ok,
-            "skipped": self.skipped,
-            "engine_value_gf2": self.engine_value_gf2,
-        }
-        if include_timings:
-            out["elapsed_s"] = round(self.elapsed_s, 6)
-        return out
-
 
 @dataclass
-class ReferenceReport:
+class ReferenceReport(_Report):
     records: list[ReferenceRecord]
     field: str
+    kind = "reference-examples"
 
     def exit_code(self) -> int:
         if any(r.skipped for r in self.records):
             return 2
         return 0 if all(r.ok for r in self.records) else 1
-
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        return {
-            "report_version": REPORT_VERSION,
-            "kind": "reference-examples",
-            "field": self.field,
-            "records": [r.to_json_dict(include_timings) for r in self.records],
-        }
-
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timings), sort_keys=True, indent=2)
 
 
 def run_reference_examples(field: str = "Q") -> ReferenceReport:
@@ -608,7 +589,7 @@ def run_reference_examples(field: str = "Q") -> ReferenceReport:
 
 
 @dataclass(frozen=True)
-class StructureRecord:
+class StructureRecord(_Record):
     n: int
     t: int
     weights: tuple[int, ...]
@@ -618,25 +599,12 @@ class StructureRecord:
     details: tuple[str, ...]
     elapsed_s: float
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "n": self.n,
-            "t": self.t,
-            "weights": list(self.weights),
-            "check": self.check,
-            "checked": self.checked,
-            "failures": self.failures,
-            "details": list(self.details),
-        }
-        if include_timings:
-            out["elapsed_s"] = round(self.elapsed_s, 6)
-        return out
-
 
 @dataclass
-class StructureReport:
+class StructureReport(_Report):
     spec: dict
     records: list[StructureRecord]
+    kind = "structure"
 
     def exit_code(self) -> int:
         return 1 if any(r.failures for r in self.records) else 0
@@ -647,23 +615,6 @@ class StructureReport:
             "checked": sum(r.checked for r in self.records),
             "failures": sum(r.failures for r in self.records),
         }
-
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        return {
-            "report_version": REPORT_VERSION,
-            "kind": "structure",
-            "spec": self.spec,
-            "summary": self.summary(),
-            "records": [r.to_json_dict(include_timings) for r in self.records],
-        }
-
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timings), sort_keys=True, indent=2)
-
-    def canonical_json(self) -> str:
-        return json.dumps(
-            self.to_json_dict(include_timings=False), sort_keys=True, separators=(",", ":"),
-        )
 
 
 def _check_basis_structure(graph, t) -> tuple[int, int, list[str]]:

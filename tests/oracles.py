@@ -125,16 +125,24 @@ def koszul_slice_faces(ideal: MonomialIdeal, b: Monomial) -> set[frozenset]:
     return faces
 
 
-def betti_table_reference(ideal: MonomialIdeal, field: str = "Q") -> dict[tuple[int, int], int]:
-    """Graded Betti numbers by full enumeration over the subset lattice."""
-    table: dict[tuple[int, int], int] = {}
+def multigraded_betti_reference(
+    ideal: MonomialIdeal, field: str = "Q"
+) -> dict[tuple[int, Monomial], int]:
+    """Nonzero multigraded Betti numbers {(i, b): rank} over the subset lattice."""
+    table: dict[tuple[int, Monomial], int] = {}
     for b in subset_lcm_lattice(ideal):
         faces = koszul_slice_faces(ideal, b)
-        hom = reduced_homology_of_face_sets(faces, field)
-        for d, r in hom.items():
-            key = (d + 1, b.degree)
-            table[key] = table.get(key, 0) + r
-    return {k: v for k, v in table.items() if v}
+        for d, r in reduced_homology_of_face_sets(faces, field).items():
+            table[(d + 1, b)] = r
+    return table
+
+
+def betti_table_reference(ideal: MonomialIdeal, field: str = "Q") -> dict[tuple[int, int], int]:
+    """Graded Betti numbers, aggregated from the multigraded reference."""
+    table: dict[tuple[int, int], int] = {}
+    for (i, b), r in multigraded_betti_reference(ideal, field).items():
+        table[(i, b.degree)] = table.get((i, b.degree), 0) + r
+    return table
 
 
 def regularity_reference(ideal: MonomialIdeal, field: str = "Q") -> int:

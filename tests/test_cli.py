@@ -166,3 +166,28 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert spec_holder["spec"].family == "cycle"
+
+
+class TestBadInput:
+    """Every rejected input is one ``error:`` line on stderr and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reg", "--ideal", "(x1^2, x2)", "--power", "0"),
+            ("reg", "--ideal", "(x1^2, x2)", "--power", "-3"),
+            ("betti", "--ideal", "(x1^2, x2)", "--power", "0"),
+            ("formula", "--graph", "{graph}", "--t", "0"),
+            ("basis", "--graph", "{graph}", "--t", "0"),
+            ("verify", "campaign", "--n", "5..3"),
+            ("ideal", "--graph", "{malformed}"),
+        ],
+    )
+    def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):
+        malformed = tmp_path / "bad.json"
+        malformed.write_text('{"vertices": [')
+        argv = [a.format(graph=triangle_path, malformed=malformed) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -239,3 +239,11 @@ class TestJsonIO:
         path.write_text(json.dumps({"vertices": [{"name": "a"}], "edges": []}))
         with pytest.raises(GraphFormatError):
             load_graph(str(path))
+
+    def test_boolean_weight_rejected(self):
+        data = json.loads(
+            '{"vertices": [{"name": "a", "weight": 1}, {"name": "b", "weight": true}],'
+            ' "edges": [["a", "b"]]}'
+        )
+        with pytest.raises(GraphFormatError):
+            WeightedDigraph.from_json_dict(data)

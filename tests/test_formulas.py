@@ -12,7 +12,6 @@ from edgereg.formulas import (
     formula_cycle,
     formula_for_family,
     formula_forest,
-    formula_power_increment,
     formula_unicyclic,
 )
 from edgereg.ideals import power
@@ -125,12 +124,14 @@ class TestForestFormula:
 
 
 class TestPowerIncrement:
+    """Each power step adds max weight + 1 to the first power's value."""
+
     def test_triangle_third_power(self):
-        assert formula_power_increment(make_cycle([2, 2, 2]), 3) == 10
+        assert formula_cycle(make_cycle([2, 2, 2]), 3).value == 10
 
     def test_identity_at_first_power(self):
         g = make_cycle([2, 3, 2])
-        assert formula_power_increment(g, 1) == formula_cycle(g, 1).value
+        assert formula_cycle(g, 1).value == g.total_weight() - g.n_edges + 1
 
     def test_matches_direct_formula_across_families(self):
         instances = [
@@ -139,14 +140,37 @@ class TestPowerIncrement:
             pendant_path_graph(1, [2, 2, 3, 2]),
         ]
         for g in instances:
+            base = formula_for_family(g, 1).value
             for t in (1, 2, 3, 4):
-                assert formula_power_increment(g, t) == formula_for_family(g, t).value
+                increment = (t - 1) * (g.max_weight() + 1)
+                assert formula_for_family(g, t).value == base + increment
 
     def test_increment_step_is_max_weight_plus_one(self):
         g = make_cycle([2, 3, 2])
         for t in (1, 2, 3):
             step = formula_for_family(g, t + 1).value - formula_for_family(g, t).value
             assert step == g.max_weight() + 1
+
+
+class TestFormulaForFamily:
+    def test_reoriented_shapes_get_flagged_predictions(self):
+        for graph, fn in (
+            (cycle5_double_out(), formula_cycle),
+            (square_pendant_inward_edge(), formula_unicyclic),
+        ):
+            r = formula_for_family(graph, 2)
+            assert r == fn(graph, 2)
+            assert not r.admissible
+
+    def test_no_closed_form_raises(self):
+        names = ["x1", "x2", "x3", "x4"]
+        g = WeightedDigraph(
+            [(v, 2) for v in names],
+            [("x1", "x2"), ("x2", "x3"), ("x3", "x1"), ("x1", "x4"), ("x4", "x2")],
+        )
+        with pytest.raises(FamilyMismatchError) as err:
+            formula_for_family(g, 1)
+        assert err.value.actual == "Other"
 
 
 class TestClosedFormValue:
