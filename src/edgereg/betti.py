@@ -48,17 +48,35 @@ def _dense_generators(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
 
 
 def _lattice_tuples(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
-    lattice: set[tuple[int, ...]] = set()
+    """All lcms of nonempty subsets of gens, sorted by (degree, exponents).
+
+    Each exponent vector is packed into one int: one field per variable,
+    every field one guard bit wider than the largest exponent.  The guard
+    bits of ``(b | guards) - g`` then mark the fields where b >= g, and a
+    join is the SWAR maximum ``b ^ ((g ^ b) & m)`` with ``m`` the value bits
+    of the fields where g > b.  Vectors are unpacked once, at the end.
+    """
+    nvars = len(gens[0])
+    shift = max((e for g in gens for e in g), default=0).bit_length()
+    width = shift + 1
+    offsets = range(0, nvars * width, width)
+    guards = sum(1 << (off + shift) for off in offsets)
+    value_mask = (1 << shift) - 1
+    lattice: set[int] = set()
     for g in gens:
-        new = {tuple(map(max, zip(g, b))) for b in lattice}
-        new.add(g)
+        g = sum(e << off for e, off in zip(g, offsets))
+        new = {g}
+        for b in lattice:
+            c = guards & ~((b | guards) - g)  # guard bits of the fields where g > b
+            new.add(b ^ ((g ^ b) & (c - (c >> shift))))
         lattice |= new
         if len(lattice) > cap:
             raise ResourceCapError(
                 f"lcm lattice exceeds the size cap {cap}; "
-                f"raise lattice_cap to proceed"
+                f"raise it with --lattice-cap (lattice_cap=) to proceed"
             )
-    return sorted(lattice, key=lambda b: (sum(b), b))
+    tuples = [tuple([(b >> off) & value_mask for off in offsets]) for b in lattice]
+    return sorted(tuples, key=lambda b: (sum(b), b))
 
 
 def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattice:
@@ -155,34 +173,45 @@ class BettiTable:
         return f"BettiTable(field={self.field}, nonzero={len(self.nonzero())})"
 
 
-def _slice_covers(
-    gens: list[tuple[int, ...]], b: tuple[int, ...]
-) -> tuple[int, list[int]]:
-    """Divisor-side cover masks of the slice at b.
+def _divisor_masks(gens: list[tuple[int, ...]]) -> list[list[int]]:
+    """``le[j][e]``: bitmask of the generators g with ``g_j <= e``.
 
-    Vertices are the generators dividing b; for each variable j in
-    supp(b) the generators that do not attain deg_j(b) span a full
-    simplex, and these simplices cover the (nerve-dual) slice complex.
+    Bit k stands for ``gens[k]``.  Row j runs to one past the largest
+    exponent of variable j; its last two entries hold every generator.
     """
-    divisors = [g for g in gens if all(x <= y for x, y in zip(g, b))]
-    covers = []
-    for j, bj in enumerate(b):
-        if bj == 0:
-            continue
-        mask = 0
-        for idx, g in enumerate(divisors):
-            if g[j] < bj:
-                mask |= 1 << idx
-        covers.append(mask)
-    return len(divisors), covers
+    le = []
+    for j in range(len(gens[0])):
+        row = [0] * (max(g[j] for g in gens) + 2)
+        for k, g in enumerate(gens):
+            row[g[j]] |= 1 << k
+        for e in range(1, len(row)):
+            row[e] |= row[e - 1]
+        le.append(row)
+    return le
 
 
-def _slice_betti(
-    gens: list[tuple[int, ...]], b: tuple[int, ...], field: str
-) -> dict[int, int]:
+def _slice_covers(le: list[list[int]], b: tuple[int, ...]) -> list[int]:
+    """Divisor-side cover masks of the slice at b, over generator bits.
+
+    The vertices are the generators dividing b, ``AND_j le[j][b_j]``; for
+    each variable j in supp(b) the divisors that do not attain deg_j(b),
+    ``divisors & le[j][b_j - 1]``, span a full simplex, and these simplices
+    cover the (nerve-dual) slice complex.  Lattice points never run past a
+    row; an exponent that does acts as one past every generator's, so it
+    is clamped to the row's last entry.
+    """
+    try:
+        divisors = -1
+        for row, e in zip(le, b):
+            divisors &= row[e]
+        return [divisors & row[e - 1] for row, e in zip(le, b) if e]
+    except IndexError:
+        return _slice_covers(le, tuple(min(e, len(row) - 1) for row, e in zip(le, b)))
+
+
+def _slice_betti(le: list[list[int]], b: tuple[int, ...], field: str) -> dict[int, int]:
     """{homological index i: beta_{i,b}} for one lattice multidegree."""
-    nverts, covers = _slice_covers(gens, b)
-    hom = covered_homology(covers, nverts, field)
+    hom = covered_homology(_slice_covers(le, b), field)
     return {d + 1: r for d, r in hom.items() if r}
 
 
@@ -193,9 +222,10 @@ def _betti_multidegrees(
     lattice_cap: int,
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
     gen_list = list(gens)
+    le = _divisor_masks(gen_list)
     out = []
     for b in _lattice_tuples(gen_list, lattice_cap):
-        ranks = _slice_betti(gen_list, b, field)
+        ranks = _slice_betti(le, b, field)
         if ranks:
             out.append((b, tuple(sorted(ranks.items()))))
     return tuple(out)

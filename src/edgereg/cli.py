@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .betti import betti_table
+from .betti import DEFAULT_LATTICE_CAP, betti_table
 from .constructions import edge_ideal, ordered_power_basis
 from .digraph import WeightedDigraph, load_graph
 from .errors import EdgeRegError
@@ -87,7 +87,7 @@ def cmd_basis(args) -> int:
 
 def cmd_betti(args) -> int:
     ideal = _ideal_from_args(args)
-    table = betti_table(ideal, field=args.field)
+    table = betti_table(ideal, field=args.field, lattice_cap=args.lattice_cap)
     if args.format == "json":
         print(json.dumps(table.to_json_dict(), sort_keys=True, indent=2))
     else:
@@ -97,7 +97,7 @@ def cmd_betti(args) -> int:
 
 def cmd_reg(args) -> int:
     ideal = _ideal_from_args(args)
-    table = betti_table(ideal, field=args.field)
+    table = betti_table(ideal, field=args.field, lattice_cap=args.lattice_cap)
     i, j = table.regularity_witness()
     print(table.regularity())
     print(f"witness: i={i} j={j}")
@@ -116,7 +116,7 @@ def cmd_formula(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.mode == "examples":
-        report = run_reference_examples(field=args.field)
+        report = run_reference_examples(field=args.field, lattice_cap=args.lattice_cap)
         out = report.to_json()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -130,6 +130,7 @@ def cmd_verify(args) -> int:
         weight_alphabet=_parse_alphabet(args.weights),
         seed=args.seed,
         field=args.field,
+        lattice_cap=args.lattice_cap,
         workers=args.workers,
     )
     if args.mode == "campaign":
@@ -147,6 +148,13 @@ def cmd_verify(args) -> int:
             fh.write(report.to_csv())
     print(json.dumps(report.summary(), sort_keys=True), file=sys.stderr)
     return report.exit_code()
+
+
+def _add_lattice_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP,
+        help=f"largest lcm lattice to compute (default {DEFAULT_LATTICE_CAP})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vars", help="comma-separated variable order for --ideal")
         p.add_argument("--power", type=int, default=1)
         p.add_argument("--field", choices=("Q", "GF2"), default="Q")
+        _add_lattice_cap(p)
         if name == "betti":
             p.add_argument("--format", choices=("json", "grid"), default="json")
         p.set_defaults(fn=fn)
@@ -195,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", choices=("Q", "GF2"), default="Q")
     p.add_argument("--workers", type=int, default=1)
+    _add_lattice_cap(p)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(fn=cmd_verify)

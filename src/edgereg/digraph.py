@@ -66,7 +66,7 @@ class WeightedDigraph:
         vnames: list[str] = []
         weights: dict[str, int] = {}
         for name, w in vertices:
-            if not _NAME_RE.match(name):
+            if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise GraphFormatError(f"invalid vertex name {name!r}")
             if name in weights:
                 raise GraphFormatError(f"duplicate vertex {name!r}")
@@ -77,6 +77,8 @@ class WeightedDigraph:
         edge_list: list[tuple[str, str]] = []
         seen = set()
         for tail, head in edges:
+            if not isinstance(tail, str) or not isinstance(head, str):
+                raise GraphFormatError(f"edge ({tail!r}, {head!r}) endpoints must be vertex names")
             if tail not in weights or head not in weights:
                 raise GraphFormatError(f"edge ({tail!r}, {head!r}) references an undeclared vertex")
             if tail == head:

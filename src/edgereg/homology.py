@@ -19,7 +19,8 @@ of rank 1 in degree -1.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 from .errors import ResourceCapError
 from .linalg import rank_gf2, rank_int
@@ -37,13 +38,9 @@ def _check_field(field: str) -> None:
         raise ValueError(f"unknown field {field!r}; expected one of {FIELDS}")
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def maximal_masks(masks) -> list[int]:
     """Drop masks contained in another mask; result sorted descending."""
-    distinct = sorted(set(masks), key=lambda m: (-_popcount(m), -m))
+    distinct = sorted(set(masks), key=lambda m: (-m.bit_count(), -m))
     out: list[int] = []
     for m in distinct:
         if not any(m | o == o for o in out):
@@ -78,7 +75,7 @@ def boundary_rank_table(faces: set[int], field: str) -> tuple[dict[int, int], di
     _check_field(field)
     by_dim: dict[int, list[int]] = {}
     for f in faces:
-        by_dim.setdefault(_popcount(f) - 1, []).append(f)
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
     for fs in by_dim.values():
         fs.sort()
     counts = {d: len(fs) for d, fs in by_dim.items()}
@@ -177,21 +174,45 @@ def _covered_homology_cached(covers: tuple[int, ...], field: str) -> tuple[tuple
     return tuple(sorted(homology_from_faces(faces, field).items()))
 
 
-def covered_homology(covers: list[int], nverts: int, field: str) -> dict[int, int]:
+def _compact(masks: list[int]) -> tuple[list[int], int]:
+    """Relabel the vertices the masks use to 0..k-1, keeping their order."""
+    used = reduce(or_, masks)
+    label = {}
+    while used:
+        bit = used & -used
+        label[bit] = 1 << len(label)
+        used ^= bit
+    out = []
+    for mask in masks:
+        m = 0
+        while mask:
+            bit = mask & -mask
+            m |= label[bit]
+            mask ^= bit
+        out.append(m)
+    return out, len(label)
+
+
+def covered_homology(covers: list[int], field: str) -> dict[int, int]:
     """Reduced homology of a union of full simplices.
 
-    ``covers`` are vertex bitmasks over ``nverts`` vertices; every face of
-    the complex is a subset of one of them.  The empty face is always
-    present (as in :func:`enumerate_union_faces`), so an empty cover
-    family is the empty-face-only complex, not the void complex.
+    ``covers`` are vertex bitmasks, with any labels; the vertices are the
+    ones some cover contains, and every face of the complex is a subset of
+    one cover.  The empty face is always present (as in
+    :func:`enumerate_union_faces`), so an empty cover family is the
+    empty-face-only complex, not the void complex.  A vertex shared by all
+    covers cones the complex; only the covers of a complex that is not such
+    a cone are relabelled to dense vertices and reduced.
     """
     _check_field(field)
     if not covers:
         return {-1: 1}
+    if reduce(and_, covers):
+        return {}  # a common vertex cones the complex
     live = maximal_masks(covers)
     if live == [0]:
         return {-1: 1}
-    live = [m for m in live if m]
+    live, nverts = _compact([m for m in live if m])
     while True:
         inter = live[0]
         for m in live[1:]:
@@ -206,4 +227,3 @@ def covered_homology(covers: list[int], nverts: int, field: str) -> dict[int, in
         nverts = k
     key = _canonical_cover(live, nverts)
     return dict(_covered_homology_cached(key, field))
-

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from itertools import product as iter_product
 from typing import Callable, Iterable
 
-from .betti import betti_table, regularity
+from .betti import DEFAULT_LATTICE_CAP, betti_table, regularity
 from .constructions import (
     betti_split_power,
     build_colon_structure,
@@ -122,7 +122,7 @@ class CampaignSpec:
     exhaustive_cap: int = 16
     sample_size: int = 10
     field: str = "Q"
-    lattice_cap: int = 200_000
+    lattice_cap: int = DEFAULT_LATTICE_CAP
     workers: int = 1
     # raw-ideal family parameters
     raw_max_variables: int = 4
@@ -542,7 +542,9 @@ class ReferenceReport(_Report):
         return 0 if all(r.ok for r in self.records) else 1
 
 
-def run_reference_examples(field: str = "Q") -> ReferenceReport:
+def run_reference_examples(
+    field: str = "Q", lattice_cap: int = DEFAULT_LATTICE_CAP
+) -> ReferenceReport:
     """Run the four bundled showcase instances against their reference values."""
     records = []
     for ex in REFERENCE_EXAMPLES:
@@ -552,10 +554,10 @@ def run_reference_examples(field: str = "Q") -> ReferenceReport:
         try:
             result = ex.formula(graph, ex.t)
             ideal = power(edge_ideal(graph), ex.t)
-            engine_value = regularity(ideal, field)
+            engine_value = regularity(ideal, field, lattice_cap)
             # the reference values assume characteristic 0; surface the
             # GF(2) value whenever it happens to differ
-            gf2_value = regularity(ideal, "GF2") if field == "Q" else None
+            gf2_value = regularity(ideal, "GF2", lattice_cap) if field == "Q" else None
             if gf2_value == engine_value:
                 gf2_value = None
             ok = (

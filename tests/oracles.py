@@ -113,6 +113,28 @@ def subset_lcm_lattice(ideal: MonomialIdeal) -> set[Monomial]:
     return out
 
 
+def slice_covers_reference(
+    gens: list[tuple[int, ...]], b: tuple[int, ...]
+) -> tuple[int, list[int]]:
+    """Divisor-side covers of the slice at b, by a scan over exponent tuples.
+
+    Vertex k is the k-th generator dividing b, in generator order; for each
+    variable j in supp(b), the divisors with ``g_j < b_j`` form one cover.
+    Returns (number of divisors, covers).
+    """
+    divisors = [g for g in gens if all(x <= y for x, y in zip(g, b))]
+    covers = []
+    for j, bj in enumerate(b):
+        if bj == 0:
+            continue
+        mask = 0
+        for idx, g in enumerate(divisors):
+            if g[j] < bj:
+                mask |= 1 << idx
+        covers.append(mask)
+    return len(divisors), covers
+
+
 def koszul_slice_faces(ideal: MonomialIdeal, b: Monomial) -> set[frozenset]:
     """Faces of the slice at b straight from the membership definition."""
     support = sorted(b.support)

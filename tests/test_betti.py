@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgereg.betti import (
+    _betti_multidegrees,
+    _divisor_masks,
     _slice_betti,
+    _slice_covers,
     betti_table,
     compare_tables,
     has_linear_resolution,
@@ -19,12 +23,18 @@ from edgereg.ideals import (
     MonomialIdeal,
     parse_ideal,
     polarize,
+    power,
     restrict_to_variables,
 )
 from edgereg.ring import Monomial, VariableSet, parse_monomial
 
 from conftest import ideals, seeded_random_ideal, variable_set
-from oracles import betti_table_reference, multigraded_betti_reference, subset_lcm_lattice
+from oracles import (
+    betti_table_reference,
+    multigraded_betti_reference,
+    slice_covers_reference,
+    subset_lcm_lattice,
+)
 
 xy = VariableSet(["x", "y"])
 
@@ -72,6 +82,91 @@ def test_lattice_contains_generators_and_is_join_closed(ideal):
     assert all(a.lcm(b) in lattice for a in lattice for b in lattice)
 
 
+# exponents at and around the field-width boundaries of the packed lattice
+WIDE_EXPONENTS = sorted(
+    {0, 1, 2, 3} | {2**k + d for k in (2, 3, 4, 7, 8, 15, 16) for d in (-1, 0, 1)}
+)
+
+
+@st.composite
+def wide_ideals(draw):
+    n = draw(st.integers(1, 8))
+    exps = st.lists(st.sampled_from(WIDE_EXPONENTS), min_size=n, max_size=n).filter(any)
+    gens = draw(st.lists(exps, min_size=1, max_size=4))
+    variables = variable_set(n)
+    return MonomialIdeal(variables, [Monomial.from_dense(variables, g) for g in gens])
+
+
+@given(wide_ideals())
+@settings(max_examples=150, deadline=None)
+def test_packed_lattice_matches_subset_enumeration_on_wide_exponents(ideal):
+    points = lcm_lattice(ideal).multidegrees
+    assert set(points) == subset_lcm_lattice(ideal)
+    dense = [m.dense() for m in points]
+    assert dense == sorted(dense, key=lambda b: (sum(b), b))
+
+
+@st.composite
+def generators_and_points(draw):
+    """Exponent vectors (not necessarily minimal) and a multidegree b.
+
+    b is either the join of some of them, as the engine sees it, or any
+    vector, possibly above every generator's exponent.
+    """
+    n = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(vec, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=len(gens)))
+        b = tuple(map(max, *chosen)) if len(chosen) > 1 else chosen[0]
+    else:
+        b = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n).map(tuple))
+    return gens, b
+
+
+@given(generators_and_points())
+@settings(max_examples=300, deadline=None)
+def test_mask_covers_match_tuple_scan_up_to_relabelling(case):
+    gens, b = case
+    covers = _slice_covers(_divisor_masks(gens), b)
+    nverts, expected = slice_covers_reference(gens, b)
+    # the reference numbers the divisors 0.. in generator order
+    divisors = [k for k, g in enumerate(gens) if all(x <= y for x, y in zip(g, b))]
+    label = {k: 1 << i for i, k in enumerate(divisors)}
+    relabelled = []
+    for mask in covers:
+        bits = [k for k in range(len(gens)) if mask >> k & 1]
+        assert set(bits) <= set(label), "a cover holds a generator that does not divide b"
+        relabelled.append(sum(label[k] for k in bits))
+    assert len(divisors) == nverts
+    assert relabelled == expected
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        power(edge_ideal(make_cycle([2, 3, 2, 2])), 2),
+        I("(x1^3*x2, x2^2*x3^2, x1*x3^3, x1^2*x2^2*x3)"),
+    ],
+    ids=["cycle-power", "raw-ideal"],
+)
+def test_one_covered_homology_call_per_lattice_point(monkeypatch, ideal):
+    # benchmark traces count slices through this seam, one per lattice point
+    import edgereg.betti as betti_module
+
+    calls = []
+    original = betti_module.covered_homology
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    _betti_multidegrees.cache_clear()
+    monkeypatch.setattr(betti_module, "covered_homology", counting)
+    betti_table(ideal)
+    assert len(calls) == lcm_lattice(ideal).size
+
+
 class TestUpperKoszulSlice:
     """beta_{i,b} is the rank of the (i-1)-st reduced homology of the slice at b."""
 
@@ -90,9 +185,9 @@ class TestUpperKoszulSlice:
     def test_non_lattice_multidegree_is_acyclic(self):
         # the engine visits lattice points only; this is why that is enough
         ideal = parse_ideal("(x, y)", xy)
-        gens = [g.dense() for g in ideal.generators]
-        assert _slice_betti(gens, (2, 1), "Q") == {}
-        assert _slice_betti(gens, (2, 1), "GF2") == {}
+        le = _divisor_masks([g.dense() for g in ideal.generators])
+        assert _slice_betti(le, (2, 1), "Q") == {}
+        assert _slice_betti(le, (2, 1), "GF2") == {}
 
 
 class TestBettiTable:

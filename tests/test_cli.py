@@ -4,9 +4,15 @@ import json
 
 import pytest
 
-from edgereg.cli import main
+from edgereg.betti import DEFAULT_LATTICE_CAP
+from edgereg.cli import build_parser, main
 from edgereg.digraph import save_graph
-from edgereg.verify import cycle5_double_out, square_pendant_light_path
+from edgereg.verify import (
+    CampaignSpec,
+    cycle5_double_out,
+    run_campaign,
+    square_pendant_light_path,
+)
 
 
 @pytest.fixture
@@ -91,6 +97,48 @@ class TestRegCommand:
         code, out, _ = run_cli(capsys, "reg", "--ideal", "(x1^2*x2, x2^3)", "--vars", "x1,x2")
         assert code == 0
         assert out.strip().splitlines()[0] == "4"
+
+
+class TestLatticeCap:
+    TRIANGLE = "(x1*x2^2, x2*x3^2, x3*x1^2)"  # its lcm lattice has 7 points
+
+    def test_capped_reg_fails_until_the_cap_is_raised(self, capsys):
+        code, out, err = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "6")
+        assert code == 2 and out == ""
+        assert "--lattice-cap" in err and "6" in err
+        code, out, _ = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "7")
+        assert code == 0
+        assert out.splitlines()[0] == "4"
+
+    def test_betti_honours_the_cap(self, capsys):
+        code, _, err = run_cli(capsys, "betti", "--ideal", self.TRIANGLE, "--lattice-cap", "6")
+        assert code == 2 and "--lattice-cap" in err
+
+    def test_verify_passes_the_cap_to_the_campaign(self, capsys, monkeypatch):
+        seen = {}
+        original = run_campaign
+
+        def spy(spec):
+            seen["cap"] = spec.lattice_cap
+            return original(spec)
+
+        monkeypatch.setattr("edgereg.cli.run_campaign", spy)
+        code, _, _ = run_cli(
+            capsys, "verify", "campaign", "--n", "3", "--t", "2", "--lattice-cap", "3",
+        )
+        assert seen["cap"] == 3
+        assert code == 2  # every instance skipped at the cap
+
+    def test_verify_examples_honours_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "examples", "--lattice-cap", "3")
+        assert code == 2
+        records = json.loads(out)["records"]
+        assert records and all("--lattice-cap" in r["skipped"] for r in records)
+
+    def test_default_is_the_engine_default(self):
+        for argv in (["reg"], ["betti"], ["verify", "campaign"]):
+            assert build_parser().parse_args(argv).lattice_cap == DEFAULT_LATTICE_CAP
+        assert CampaignSpec("cycle", (3,), (1,)).lattice_cap == DEFAULT_LATTICE_CAP
 
 
 class TestFormulaCommand:
@@ -181,12 +229,26 @@ class TestBadInput:
             ("basis", "--graph", "{graph}", "--t", "0"),
             ("verify", "campaign", "--n", "5..3"),
             ("ideal", "--graph", "{malformed}"),
+            ("ideal", "--graph", "{numeric_name}"),
+            ("ideal", "--graph", "{list_endpoint}"),
+            ("reg", "--ideal", "(x1*x2^2, x2*x3^2, x3*x1^2)", "--lattice-cap", "3"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):
         malformed = tmp_path / "bad.json"
         malformed.write_text('{"vertices": [')
-        argv = [a.format(graph=triangle_path, malformed=malformed) for a in argv]
+        numeric_name = tmp_path / "numeric_name.json"
+        numeric_name.write_text(json.dumps({
+            "vertices": [{"name": 5, "weight": 2}], "edges": [],
+        }))
+        list_endpoint = tmp_path / "list_endpoint.json"
+        list_endpoint.write_text(json.dumps({
+            "vertices": [{"name": "a", "weight": 2}, {"name": "b", "weight": 2}],
+            "edges": [["a", ["b"]]],
+        }))
+        files = dict(graph=triangle_path, malformed=malformed,
+                     numeric_name=numeric_name, list_endpoint=list_endpoint)
+        argv = [a.format(**files) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

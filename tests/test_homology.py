@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +20,7 @@ from oracles import reduced_homology_of_face_sets
 def homology_of_facets(facets: list[set[int]], field: str = "Q") -> dict[int, int]:
     """Reduced homology through the covered pipeline, facets as covers."""
     covers = [sum(1 << v for v in f) for f in facets]
-    nverts = max((max(f) + 1 for f in facets if f), default=0)
-    return covered_homology(covers, nverts, field)
+    return covered_homology(covers, field)
 
 
 class TestToyComplexes:
@@ -101,7 +102,7 @@ def cover_families(draw):
 @settings(max_examples=300, deadline=None)
 def test_covered_homology_matches_direct_enumeration(family, field):
     nverts, covers = family
-    via_pipeline = covered_homology(covers, nverts, field)
+    via_pipeline = covered_homology(covers, field)
     faces = enumerate_union_faces(maximal_masks(covers))
     face_sets = {
         frozenset(i for i in range(nverts) if (f >> i) & 1) for f in faces
@@ -110,8 +111,35 @@ def test_covered_homology_matches_direct_enumeration(family, field):
     assert via_pipeline == direct
 
 
+@st.composite
+def sparse_cover_families(draw):
+    """Covers over a few vertices with scattered, possibly high labels.
+
+    Some covers may be empty masks, and all of them may share one extra
+    vertex, which makes the family a cone before any reduction.
+    """
+    labels = draw(st.lists(st.integers(0, 200), min_size=1, max_size=7, unique=True))
+    subsets = st.lists(st.sampled_from(labels), max_size=len(labels), unique=True)
+    covers = [sum(1 << v for v in c) for c in draw(st.lists(subsets, min_size=1, max_size=5))]
+    if draw(st.booleans()):
+        apex = 1 << draw(st.integers(0, 200))
+        covers = [m | apex for m in covers]
+    return covers
+
+
+@given(sparse_cover_families(), st.sampled_from(["Q", "GF2"]))
+@settings(max_examples=300, deadline=None)
+def test_covered_homology_with_sparse_labels_matches_direct_enumeration(covers, field):
+    faces = set()
+    for mask in covers:
+        vertices = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        for k in range(len(vertices) + 1):
+            faces.update(frozenset(c) for c in combinations(vertices, k))
+    assert covered_homology(covers, field) == reduced_homology_of_face_sets(faces, field)
+
+
 def test_empty_cover_family_is_the_empty_face_complex():
-    assert covered_homology([], 0, "Q") == {-1: 1}
+    assert covered_homology([], "Q") == {-1: 1}
     assert enumerate_union_faces([]) == {0}
 
 
@@ -129,4 +157,4 @@ def test_homology_from_faces_matches_oracle_over_q(family):
 def test_cone_is_detected_without_enumeration():
     # every cover mask shares vertex 0: contractible regardless of size
     covers = [(1 << 40) - 1 & ~(1 << k) | 1 for k in range(1, 12)]
-    assert covered_homology(covers, 40, "Q") == {}
+    assert covered_homology(covers, "Q") == {}
