@@ -30,13 +30,10 @@ from .constructions import (
 from .digraph import (
     Family,
     FamilyTag,
-    Theorem,
     WeightedDigraph,
-    check_hypotheses,
     classify,
     load_graph,
     make_cycle,
-    replay_witness,
     save_graph,
 )
 from .formulas import (

@@ -33,10 +33,10 @@ DEFAULT_LATTICE_CAP = 200_000
 
 @dataclass(frozen=True)
 class LcmLattice:
-    """All least common multiples of nonempty generator subsets."""
+    """All least common multiples of nonempty generator subsets, as
+    exponent tuples sorted by (degree, exponents)."""
 
-    ideal: MonomialIdeal
-    multidegrees: tuple[Monomial, ...]
+    multidegrees: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
@@ -82,12 +82,7 @@ def _lattice_tuples(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ..
 def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattice:
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm lattice")
-    variables = ideal.variables
-    tuples = _lattice_tuples(_dense_generators(ideal), cap)
-    return LcmLattice(
-        ideal=ideal,
-        multidegrees=tuple(Monomial.from_dense(variables, b) for b in tuples),
-    )
+    return LcmLattice(tuple(_lattice_tuples(_dense_generators(ideal), cap)))
 
 
 # -- Betti tables ----------------------------------------------------------

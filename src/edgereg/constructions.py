@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .digraph import Family, FamilyMismatchError, WeightedDigraph, classify
-from .errors import EmptyGraphError, GeneratorMembershipError
+from .digraph import Family, WeightedDigraph, classify
+from .errors import EmptyGraphError, FamilyMismatchError, GeneratorMembershipError
 from .ideals import MonomialIdeal, colon_by_monomial, ideal_sum
-from .ring import Monomial
+from .ring import Monomial, VariableSet
 
 
 def edge_ideal(graph: WeightedDigraph) -> MonomialIdeal:
@@ -29,21 +29,17 @@ def edge_ideal(graph: WeightedDigraph) -> MonomialIdeal:
     if graph.n_edges == 0:
         raise EmptyGraphError("graph has no edges; its edge ideal is zero")
     variables = graph.variable_set()
-    gens = []
-    for tail, head in graph.edges:
-        gens.append(
-            Monomial(
-                variables,
-                _merge_exponents(variables.index(tail), variables.index(head), graph.weight(head)),
-            )
-        )
-    return MonomialIdeal(variables, gens)
+    return MonomialIdeal(
+        variables, [_edge_monomial(graph, variables, tail, head) for tail, head in graph.edges]
+    )
 
 
-def _merge_exponents(tail_idx: int, head_idx: int, head_weight: int) -> dict[int, int]:
-    if tail_idx == head_idx:
-        return {tail_idx: 1 + head_weight}
-    return {tail_idx: 1, head_idx: head_weight}
+def _edge_monomial(
+    graph: WeightedDigraph, variables: VariableSet, tail: str, head: str
+) -> Monomial:
+    """``x_tail * x_head^{w(head)}``; tail != head since graphs have no self-loops."""
+    exponents = {variables.index(tail): 1, variables.index(head): graph.weight(head)}
+    return Monomial(variables, exponents)
 
 
 @dataclass(frozen=True)
@@ -68,16 +64,10 @@ def cycle_edge_generators(graph: WeightedDigraph) -> list[EdgeGenerator]:
     order = _require_cycle(graph)
     variables = graph.variable_set()
     n = len(order)
-    out = []
-    for i in range(1, n + 1):
-        tail = order[(i - 2) % n]
-        head = order[i - 1]
-        m = Monomial(
-            variables,
-            _merge_exponents(variables.index(tail), variables.index(head), graph.weight(head)),
-        )
-        out.append(EdgeGenerator(index=i, monomial=m))
-    return out
+    return [
+        EdgeGenerator(i, _edge_monomial(graph, variables, order[(i - 2) % n], order[i - 1]))
+        for i in range(1, n + 1)
+    ]
 
 
 def _require_weights_at_least_two(graph: WeightedDigraph, order: tuple[str, ...]) -> list[int]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import EmptyGraphError, FamilyMismatchError, GraphFormatError
+from .errors import EmptyGraphError, GraphFormatError
 from .ring import _NAME_RE, VariableSet
 
 
@@ -33,21 +33,6 @@ class Family(str, Enum):
     ROOTED_FOREST = "RootedForest"
     UNICYCLIC = "Unicyclic"
     OTHER = "Other"
-
-
-class Theorem(str, Enum):
-    """Which closed-form hypothesis set to check."""
-
-    CYCLE = "CycleThm"
-    FOREST = "ForestThm"
-    UNICYCLIC = "UnicyclicThm"
-
-
-_THEOREM_FAMILY = {
-    Theorem.CYCLE: Family.ORIENTED_CYCLE,
-    Theorem.FOREST: Family.ROOTED_FOREST,
-    Theorem.UNICYCLIC: Family.UNICYCLIC,
-}
 
 
 class WeightedDigraph:
@@ -209,126 +194,37 @@ def save_graph(graph: WeightedDigraph, path: str) -> None:
 
 @dataclass(frozen=True)
 class FamilyTag:
+    """The family, the closed form the underlying shape takes, and how the
+    orientation breaks it.
+
+    ``shape`` is "cycle", "forest", "unicyclic" or None (no closed form).
+    ``cycle`` is the vertex order following the orientation for oriented
+    cycles and unicyclic graphs.  ``violations`` are the orientation
+    violations of the shape's closed form.
+    """
+
     kind: Family
-    # Witness data, replayable against the graph:
-    #   OrientedCycle: cycle = vertex order following the orientation.
-    #   RootedForest:  trees = ((root, edges), ...) per component.
-    #   Unicyclic:     cycle order plus trees oriented away from cycle roots.
     cycle: tuple[str, ...] = ()
-    trees: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
+    shape: str | None = None
+    violations: tuple[str, ...] = ()
 
 
-def _underlying_components(graph: WeightedDigraph) -> list[set[str]]:
+def _count_components(graph: WeightedDigraph) -> int:
     seen: set[str] = set()
-    comps: list[set[str]] = []
+    count = 0
     for start in graph.vertex_names:
         if start in seen:
             continue
-        comp = {start}
+        count += 1
+        seen.add(start)
         stack = [start]
         while stack:
             v = stack.pop()
             for w in graph.out_neighbors(v) + graph.in_neighbors(v):
-                if w not in comp:
-                    comp.add(w)
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _has_antiparallel_pair(graph: WeightedDigraph) -> bool:
-    edge_set = set(graph.edges)
-    return any((b, a) in edge_set for a, b in edge_set)
-
-
-def _trace_cycle(graph: WeightedDigraph, start: str) -> tuple[str, ...]:
-    order = [start]
-    v = graph.out_neighbors(start)[0]
-    while v != start:
-        order.append(v)
-        v = graph.out_neighbors(v)[0]
-    return tuple(order)
-
-
-@dataclass(frozen=True)
-class CycleAnalysis:
-    """Structural report for a graph whose underlying graph is one cycle."""
-
-    oriented: bool
-    order: tuple[str, ...]
-    orientation_violations: tuple[str, ...]
-
-
-def analyze_cycle(graph: WeightedDigraph) -> CycleAnalysis | None:
-    """If the underlying graph is one cycle on >= 3 vertices, report its
-    orientation status; otherwise None."""
-    if graph.n_vertices < 3 or graph.n_edges != graph.n_vertices:
-        return None
-    if _has_antiparallel_pair(graph):
-        return None
-    if len(_underlying_components(graph)) != 1:
-        return None
-    if any(graph.degree(v) != 2 for v in graph.vertex_names):
-        return None
-    oriented = all(
-        len(graph.out_neighbors(v)) == 1 and len(graph.in_neighbors(v)) == 1
-        for v in graph.vertex_names
-    )
-    order: tuple[str, ...] = ()
-    violations: list[str] = []
-    if oriented:
-        order = _trace_cycle(graph, graph.vertex_names[0])
-    else:
-        for v in graph.vertex_names:
-            if len(graph.out_neighbors(v)) != 1:
-                violations.append(
-                    f"vertex {v} has out-degree {len(graph.out_neighbors(v))}; "
-                    f"a head-to-tail cycle needs exactly 1"
-                )
-    return CycleAnalysis(oriented, order, tuple(violations))
-
-
-def _forest_witness(graph: WeightedDigraph):
-    """Witness if every component is a tree oriented away from one root."""
-    comps = _underlying_components(graph)
-    if _has_antiparallel_pair(graph):
-        return None
-    edges_by_tail: dict[str, list[tuple[str, str]]] = {v: [] for v in graph.vertex_names}
-    for a, b in graph.edges:
-        edges_by_tail[a].append((a, b))
-    comp_edges = {id(c): 0 for c in comps}
-    comp_of = {}
-    for c in comps:
-        for v in c:
-            comp_of[v] = id(c)
-    for a, _ in graph.edges:
-        comp_edges[comp_of[a]] += 1
-    trees = []
-    for comp in comps:
-        if comp_edges[id(comp)] != len(comp) - 1:
-            return None  # component has a cycle
-        roots = [v for v in comp if not graph.in_neighbors(v)]
-        if len(roots) != 1:
-            return None
-        root = roots[0]
-        # orientation away from the root means everything is reachable
-        reached = {root}
-        collected: list[tuple[str, str]] = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in graph.out_neighbors(v):
-                if w in reached:
-                    return None
-                reached.add(w)
-                collected.append((v, w))
-                stack.append(w)
-        if reached != comp:
-            return None
-        trees.append((root, tuple(sorted(collected))))
-    trees.sort()
-    return tuple(trees)
+    return count
 
 
 def _two_core(graph: WeightedDigraph) -> set[str]:
@@ -347,133 +243,68 @@ def _two_core(graph: WeightedDigraph) -> set[str]:
     return alive
 
 
-@dataclass(frozen=True)
-class UnicyclicAnalysis:
-    """Structural report for a connected graph with exactly one cycle."""
-
-    cycle_vertices: frozenset[str]
-    cycle_oriented: bool
-    cycle_order: tuple[str, ...]
-    trees_oriented: bool
-    trees: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-    orientation_violations: tuple[str, ...]
-
-    @property
-    def fully_oriented(self) -> bool:
-        return self.cycle_oriented and self.trees_oriented
-
-
-def analyze_unicyclic(graph: WeightedDigraph) -> UnicyclicAnalysis | None:
-    """If connected with exactly one underlying cycle (length >= 3) and at
-    least one tree vertex, report the orientation status; otherwise None.
-    Bare cycles belong to the cycle family, not here."""
-    if graph.n_edges != graph.n_vertices or graph.n_vertices < 3:
-        return None
-    if _has_antiparallel_pair(graph):
-        return None
-    if len(_underlying_components(graph)) != 1:
-        return None
-    core = _two_core(graph)
-    if len(core) < 3 or len(core) == graph.n_vertices:
-        return None
-    if any(
-        sum(1 for w in graph.out_neighbors(v) if w in core)
-        + sum(1 for w in graph.in_neighbors(v) if w in core) != 2
-        for v in core
-    ):
-        return None  # the 2-core is not a single cycle
-    violations: list[str] = []
-    cycle_oriented = all(
-        sum(1 for w in graph.out_neighbors(v) if w in core) == 1
-        and sum(1 for w in graph.in_neighbors(v) if w in core) == 1
-        for v in core
-    )
-    order: tuple[str, ...] = ()
-    if cycle_oriented:
-        start = min(core, key=graph.vertex_names.index)
-        order = [start]
-        v = next(w for w in graph.out_neighbors(start) if w in core)
-        while v != start:
-            order.append(v)
-            v = next(w for w in graph.out_neighbors(v) if w in core)
-        order = tuple(order)
-    else:
-        violations.append("cycle is not oriented head-to-tail")
-    # Trees must be oriented away from their attachment vertex on the cycle.
-    trees_oriented = True
-    reached = set(core)
-    stack = list(core)
-    tree_edges: dict[str, list[tuple[str, str]]] = {}
-    parent_root: dict[str, str] = {v: v for v in core}
-    while stack:
-        v = stack.pop()
-        for w in graph.out_neighbors(v):
-            if w in reached:
-                continue
-            reached.add(w)
-            root = parent_root[v]
-            parent_root[w] = root
-            tree_edges.setdefault(root, []).append((v, w))
-            stack.append(w)
-    if reached != set(graph.vertex_names):
-        trees_oriented = False
-        for v in sorted(set(graph.vertex_names) - reached):
-            for w in graph.out_neighbors(v):
-                violations.append(
-                    f"edge ({v}, {w}) is not oriented away from the cycle"
-                )
-    else:
-        for v in graph.vertex_names:
-            if v not in core and len(graph.in_neighbors(v)) != 1:
-                trees_oriented = False
-                violations.append(
-                    f"tree vertex {v} has in-degree {len(graph.in_neighbors(v))}"
-                )
-    trees = tuple(
-        sorted((root, tuple(sorted(es))) for root, es in tree_edges.items())
-    )
-    return UnicyclicAnalysis(
-        cycle_vertices=frozenset(core),
-        cycle_oriented=cycle_oriented,
-        cycle_order=order,
-        trees_oriented=trees_oriented,
-        trees=trees,
-        orientation_violations=tuple(violations),
-    )
-
-
 def classify(graph: WeightedDigraph) -> FamilyTag:
-    """Assign the graph to its family, with a replayable witness."""
+    """Assign the graph to its family in one pass.
+
+    An antiparallel pair makes a graph Other.  Without one, a graph with |E| = |V| - #components is a
+    forest, rooted when no in-degree exceeds 1.  A connected graph with
+    |E| = |V| has exactly one underlying cycle, its 2-core: the shape is
+    "cycle" when that is every vertex and "unicyclic" otherwise.
+    """
     if graph.n_vertices == 0:
         raise EmptyGraphError("cannot classify an empty graph")
-    cyc = analyze_cycle(graph)
-    if cyc is not None:
-        if cyc.oriented:
-            return FamilyTag(kind=Family.ORIENTED_CYCLE, cycle=cyc.order)
+    names = graph.vertex_names
+    edge_set = set(graph.edges)
+    if any((b, a) in edge_set for a, b in edge_set):
         return FamilyTag(kind=Family.OTHER)
-    forest = _forest_witness(graph)
-    if forest is not None:
-        return FamilyTag(kind=Family.ROOTED_FOREST, trees=forest)
-    uni = analyze_unicyclic(graph)
-    if uni is not None and uni.fully_oriented:
-        return FamilyTag(kind=Family.UNICYCLIC, cycle=uni.cycle_order, trees=uni.trees)
-    return FamilyTag(kind=Family.OTHER)
+    components = _count_components(graph)
+    if graph.n_edges == graph.n_vertices - components:
+        if all(len(graph.in_neighbors(v)) <= 1 for v in names):
+            return FamilyTag(kind=Family.ROOTED_FOREST, shape="forest")
+        return FamilyTag(kind=Family.OTHER)
+    if components != 1 or graph.n_edges != graph.n_vertices:
+        return FamilyTag(kind=Family.OTHER)
+    core = _two_core(graph)
 
+    def core_out(v: str) -> list[str]:
+        return [w for w in graph.out_neighbors(v) if w in core]
 
-def replay_witness(graph: WeightedDigraph, tag: FamilyTag) -> bool:
-    """Rebuild the edge set from the witness and compare with the graph."""
-    if tag.kind == Family.OTHER:
-        return True
-    rebuilt: set[tuple[str, str]] = set()
-    if tag.kind in (Family.ORIENTED_CYCLE, Family.UNICYCLIC):
-        order = tag.cycle
-        if len(order) < 3:
-            return False
-        rebuilt |= {(order[i], order[(i + 1) % len(order)]) for i in range(len(order))}
-    if tag.kind in (Family.ROOTED_FOREST, Family.UNICYCLIC):
-        for _root, edges in tag.trees:
-            rebuilt |= set(edges)
-    return rebuilt == set(graph.edges)
+    order: tuple[str, ...] = ()
+    if all(len(core_out(v)) == 1 for v in core):
+        start = next(v for v in names if v in core)
+        walk = [start]
+        v = core_out(start)[0]
+        while v != start:
+            walk.append(v)
+            v = core_out(v)[0]
+        order = tuple(walk)
+    violations: list[str] = []
+    if len(core) == graph.n_vertices:
+        shape, oriented_kind = "cycle", Family.ORIENTED_CYCLE
+        for v in names:
+            if len(graph.out_neighbors(v)) != 1:
+                violations.append(
+                    f"vertex {v} has out-degree {len(graph.out_neighbors(v))}; "
+                    f"a head-to-tail cycle needs exactly 1"
+                )
+    else:
+        shape, oriented_kind = "unicyclic", Family.UNICYCLIC
+        if not order:
+            violations.append("cycle is not oriented head-to-tail")
+        # trees must be oriented away from their attachment vertex on the cycle
+        reached = set(core)
+        stack = list(core)
+        while stack:
+            for w in graph.out_neighbors(stack.pop()):
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        for v in sorted(set(names) - reached):
+            for w in graph.out_neighbors(v):
+                violations.append(f"edge ({v}, {w}) is not oriented away from the cycle")
+    if violations:
+        return FamilyTag(kind=Family.OTHER, shape=shape, violations=tuple(violations))
+    return FamilyTag(kind=oriented_kind, cycle=order, shape=shape)
 
 
 def make_cycle(weights: Sequence[int]) -> WeightedDigraph:
@@ -487,19 +318,8 @@ def make_cycle(weights: Sequence[int]) -> WeightedDigraph:
     return WeightedDigraph(vertices, edges)
 
 
-@dataclass(frozen=True)
-class HypothesesReport:
-    theorem: Theorem
-    family: Family
-    violations: tuple[str, ...]
-
-    @property
-    def admissible(self) -> bool:
-        return not self.violations
-
-
-def weight_violations(graph: WeightedDigraph, theorem: Theorem) -> tuple[str, ...]:
-    """Weight-hypothesis violations for the given closed form.
+def weight_violations(graph: WeightedDigraph, shape: str) -> tuple[str, ...]:
+    """Weight-hypothesis violations for the closed form of the given shape.
 
     The cycle form requires weight >= 2 everywhere.  The forest and
     unicyclic forms require weight >= 2 at vertices of underlying degree
@@ -507,7 +327,7 @@ def weight_violations(graph: WeightedDigraph, theorem: Theorem) -> tuple[str, ..
     normalization and never enters the edge ideal.
     """
     out: list[str] = []
-    if theorem == Theorem.CYCLE:
+    if shape == "cycle":
         for v in graph.vertex_names:
             if graph.weight(v) < 2:
                 out.append(f"w({v})={graph.weight(v)}")
@@ -516,20 +336,3 @@ def weight_violations(graph: WeightedDigraph, theorem: Theorem) -> tuple[str, ..
             if graph.degree(v) != 1 and not graph.is_source(v) and graph.weight(v) < 2:
                 out.append(f"w({v})={graph.weight(v)} with d({v})={graph.degree(v)}")
     return tuple(out)
-
-
-def check_hypotheses(graph: WeightedDigraph, theorem: Theorem) -> HypothesesReport:
-    """Check a classified graph against a closed form's hypotheses."""
-    tag = classify(graph)
-    expected = _THEOREM_FAMILY[theorem]
-    if tag.kind != expected:
-        raise FamilyMismatchError(
-            f"{theorem.value} expects family {expected.value}, "
-            f"but the graph classifies as {tag.kind.value}",
-            actual=tag.kind.value,
-        )
-    return HypothesesReport(
-        theorem=theorem,
-        family=tag.kind,
-        violations=weight_violations(graph, theorem),
-    )

@@ -18,16 +18,8 @@ import json
 from dataclasses import dataclass
 
 from .constructions import build_colon_structure
-from .digraph import (
-    Family,
-    FamilyMismatchError,
-    Theorem,
-    WeightedDigraph,
-    analyze_cycle,
-    analyze_unicyclic,
-    classify,
-    weight_violations,
-)
+from .digraph import Family, FamilyTag, WeightedDigraph, classify, weight_violations
+from .errors import FamilyMismatchError
 
 # Formula arithmetic is exact integer math; the cap just keeps t sane.
 MAX_POWER = 64
@@ -77,10 +69,32 @@ def _reject_isolated(graph: WeightedDigraph) -> None:
         )
 
 
-def _result(graph: WeightedDigraph, family: Family, t: int, violations: tuple[str, ...]) -> FormulaResult:
+_SHAPE_MISMATCH = {
+    "cycle": "underlying graph is not a single cycle (family: {})",
+    "forest": "expected a rooted forest, got {}",
+    "unicyclic": "underlying graph is not unicyclic (family: {})",
+}
+
+
+def _predict(
+    graph: WeightedDigraph, t: int, form: str, tag: FamilyTag | None = None
+) -> FormulaResult:
+    """The closed form ``form`` applied to graph, flagged with every violation.
+
+    ``tag`` is the graph's classification when the caller already has it.
+    """
+    _check_t(t)
+    if form != "cycle":
+        _reject_isolated(graph)
+    if tag is None:
+        tag = classify(graph)
+    if tag.shape != form:
+        actual = tag.kind.value
+        raise FamilyMismatchError(_SHAPE_MISMATCH[form].format(actual), actual=actual)
+    violations = tag.violations + weight_violations(graph, form)
     return FormulaResult(
         value=closed_form_value(graph.total_weight(), graph.n_edges, graph.max_weight(), t),
-        family=family,
+        family=tag.kind,
         sum_weights=graph.total_weight(),
         n_edges=graph.n_edges,
         max_weight=graph.max_weight(),
@@ -96,45 +110,17 @@ def formula_cycle(graph: WeightedDigraph, t: int) -> FormulaResult:
     Admissible when the cycle is oriented head-to-tail and every weight
     is at least 2; otherwise the prediction is flagged with violations.
     """
-    _check_t(t)
-    analysis = analyze_cycle(graph)
-    if analysis is None:
-        actual = classify(graph).kind
-        raise FamilyMismatchError(
-            f"underlying graph is not a single cycle (family: {actual.value})",
-            actual=actual.value,
-        )
-    violations = analysis.orientation_violations + weight_violations(graph, Theorem.CYCLE)
-    family = Family.ORIENTED_CYCLE if analysis.oriented else Family.OTHER
-    return _result(graph, family, t, violations)
+    return _predict(graph, t, "cycle")
 
 
 def formula_unicyclic(graph: WeightedDigraph, t: int) -> FormulaResult:
     """Prediction for a connected graph with exactly one underlying cycle."""
-    _check_t(t)
-    _reject_isolated(graph)
-    analysis = analyze_unicyclic(graph)
-    if analysis is None:
-        actual = classify(graph).kind
-        raise FamilyMismatchError(
-            f"underlying graph is not unicyclic (family: {actual.value})",
-            actual=actual.value,
-        )
-    violations = analysis.orientation_violations + weight_violations(graph, Theorem.UNICYCLIC)
-    family = Family.UNICYCLIC if analysis.fully_oriented else Family.OTHER
-    return _result(graph, family, t, violations)
+    return _predict(graph, t, "unicyclic")
 
 
 def formula_forest(graph: WeightedDigraph, t: int) -> FormulaResult:
     """Prediction for a rooted forest (edges oriented away from the roots)."""
-    _check_t(t)
-    _reject_isolated(graph)
-    tag = classify(graph)
-    if tag.kind != Family.ROOTED_FOREST:
-        raise FamilyMismatchError(
-            f"expected a rooted forest, got {tag.kind.value}", actual=tag.kind.value
-        )
-    return _result(graph, tag.kind, t, weight_violations(graph, Theorem.FOREST))
+    return _predict(graph, t, "forest")
 
 
 FORMULA_BY_FAMILY = {
@@ -145,20 +131,17 @@ FORMULA_BY_FAMILY = {
 
 
 def formula_for_family(graph: WeightedDigraph, t: int) -> FormulaResult:
-    """Dispatch on the classified family.
+    """Dispatch on the graph's closed-form shape (a ``FORMULA_BY_FAMILY`` key).
 
     Graphs classified Other still get a flagged prediction when their
     underlying shape is a single cycle or unicyclic, so reoriented
     instances are compared too; anything else raises.
     """
-    kind = classify(graph).kind
-    if kind == Family.ROOTED_FOREST:
-        return formula_forest(graph, t)
-    if kind == Family.ORIENTED_CYCLE or analyze_cycle(graph) is not None:
-        return formula_cycle(graph, t)
-    if kind == Family.UNICYCLIC or analyze_unicyclic(graph) is not None:
-        return formula_unicyclic(graph, t)
-    raise FamilyMismatchError(f"no closed form for family {kind.value}", actual=kind.value)
+    tag = classify(graph)
+    if tag.shape is None:
+        actual = tag.kind.value
+        raise FamilyMismatchError(f"no closed form for family {actual}", actual=actual)
+    return _predict(graph, t, tag.shape, tag)
 
 
 @dataclass(frozen=True)

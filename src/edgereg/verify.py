@@ -156,10 +156,7 @@ class VerificationRecord(_Record):
     elapsed_s: float = 0.0
 
 
-CSV_COLUMNS = (
-    "family", "instance", "n", "t", "weights", "field", "formula_value",
-    "admissible", "violations", "engine_value", "match", "skipped", "elapsed_s",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(VerificationRecord))
 
 
 @dataclass
@@ -186,7 +183,7 @@ class CampaignReport(_Report):
         if s["mismatches"]:
             return 1
         if s["skipped"]:
-            return 2
+            return 3
         return 0
 
     def to_csv(self) -> str:
@@ -538,7 +535,7 @@ class ReferenceReport(_Report):
 
     def exit_code(self) -> int:
         if any(r.skipped for r in self.records):
-            return 2
+            return 3
         return 0 if all(r.ok for r in self.records) else 1
 
 
@@ -558,32 +555,24 @@ def run_reference_examples(
             # the reference values assume characteristic 0; surface the
             # GF(2) value whenever it happens to differ
             gf2_value = regularity(ideal, "GF2", lattice_cap) if field == "Q" else None
-            if gf2_value == engine_value:
-                gf2_value = None
-            ok = (
-                engine_value == ex.expected_engine
-                and result.value == ex.expected_formula
-            )
-            records.append(
-                ReferenceRecord(
-                    name=ex.name, family=family, t=ex.t,
-                    engine_value=engine_value, expected_engine=ex.expected_engine,
-                    formula_value=result.value, expected_formula=ex.expected_formula,
-                    admissible=result.admissible, violations=result.violations,
-                    ok=ok, skipped=None, elapsed_s=time.perf_counter() - start,
-                    engine_value_gf2=gf2_value,
-                )
+            outcome = dict(
+                engine_value=engine_value, formula_value=result.value,
+                admissible=result.admissible, violations=result.violations,
+                ok=engine_value == ex.expected_engine and result.value == ex.expected_formula,
+                skipped=None, engine_value_gf2=None if gf2_value == engine_value else gf2_value,
             )
         except ResourceCapError as exc:
-            records.append(
-                ReferenceRecord(
-                    name=ex.name, family=family, t=ex.t,
-                    engine_value=None, expected_engine=ex.expected_engine,
-                    formula_value=None, expected_formula=ex.expected_formula,
-                    admissible=None, violations=(),
-                    ok=False, skipped=str(exc), elapsed_s=time.perf_counter() - start,
-                )
+            outcome = dict(
+                engine_value=None, formula_value=None, admissible=None, violations=(),
+                ok=False, skipped=str(exc),
             )
+        records.append(
+            ReferenceRecord(
+                name=ex.name, family=family, t=ex.t, expected_engine=ex.expected_engine,
+                expected_formula=ex.expected_formula, elapsed_s=time.perf_counter() - start,
+                **outcome,
+            )
+        )
     return ReferenceReport(records=records, field=field)
 
 

@@ -170,3 +170,42 @@ def betti_table_reference(ideal: MonomialIdeal, field: str = "Q") -> dict[tuple[
 def regularity_reference(ideal: MonomialIdeal, field: str = "Q") -> int:
     table = betti_table_reference(ideal, field)
     return max(j - i for (i, j) in table)
+
+
+def family_reference(graph) -> str:
+    """The family name read straight from the definitions.
+
+    Degree counting and union-find only: an antiparallel pair is Other; a
+    connected graph on >= 3 vertices with every in- and out-degree 1 is an
+    oriented cycle; |E| = |V| - #components with every in-degree <= 1 is a
+    rooted forest; connected with |E| = |V| and every in-degree 1 is
+    unicyclic; anything else is Other.
+    """
+    names, edges = graph.vertex_names, graph.edges
+    edge_set = set(edges)
+    if any((b, a) in edge_set for a, b in edges):
+        return "Other"
+    parent = {v: v for v in names}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    components = len({find(v) for v in names})
+    indeg = {v: 0 for v in names}
+    outdeg = {v: 0 for v in names}
+    for a, b in edges:
+        outdeg[a] += 1
+        indeg[b] += 1
+    n, m = len(names), len(edges)
+    if components == 1 and n >= 3 and all(indeg[v] == outdeg[v] == 1 for v in names):
+        return "OrientedCycle"
+    if m == n - components and all(indeg[v] <= 1 for v in names):
+        return "RootedForest"
+    if components == 1 and m == n and all(indeg[v] == 1 for v in names):
+        return "Unicyclic"
+    return "Other"

@@ -127,11 +127,11 @@ class TestLatticeCap:
             capsys, "verify", "campaign", "--n", "3", "--t", "2", "--lattice-cap", "3",
         )
         assert seen["cap"] == 3
-        assert code == 2  # every instance skipped at the cap
+        assert code == 3  # every instance skipped at the cap; rejected input is 2
 
     def test_verify_examples_honours_the_cap(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "examples", "--lattice-cap", "3")
-        assert code == 2
+        assert code == 3
         records = json.loads(out)["records"]
         assert records and all("--lattice-cap" in r["skipped"] for r in records)
 

@@ -136,7 +136,7 @@ class TestSkipsAndExitCodes:
     def test_lattice_cap_produces_skip_records(self):
         spec = small_cycle_spec(t_values=(2,), lattice_cap=3)
         report = run_campaign(spec)
-        assert report.exit_code() == 2
+        assert report.exit_code() == 3
         assert all(r.skipped for r in report.records)
         assert all("cap" in r.skipped for r in report.records)
 
