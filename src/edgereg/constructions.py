@@ -113,9 +113,10 @@ class OrderedPowerBasis:
         _require_weights_at_least_two(graph, order)
         gens = cycle_edge_generators(graph)
         n = len(gens)
+        unit = Monomial.unit(graph.variable_set())
         entries = []
         for vec in _compositions_desc(t, n):
-            m = Monomial.unit(graph.variable_set())
+            m = unit
             for i, a in enumerate(vec):
                 if a:
                     m = m * (gens[i].monomial ** a)

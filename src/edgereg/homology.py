@@ -99,7 +99,7 @@ def boundary_rank_table(faces: set[int], field: str) -> tuple[dict[int, int], di
         else:
             rows = []
             for f in by_dim[d]:
-                row = [0] * ncols
+                row = {}
                 sign = 1
                 v = f
                 while v:

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: dense fraction arithmetic, full
 subset enumeration, membership checked from definitions.  The production
 engine is validated against these, so nothing in this module may import
-the optimized paths it checks (the covered-complex pipeline, Bareiss
-elimination, bit-packed GF(2)).
+the optimized paths it checks (the covered-complex pipeline, sparse
+integer elimination, bit-packed GF(2)).
 """
 
 from __future__ import annotations

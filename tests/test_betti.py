@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from edgereg.ring import Monomial, VariableSet, parse_monomial
 from conftest import ideals, seeded_random_ideal, variable_set
 from oracles import (
     betti_table_reference,
+    fraction_rank,
     multigraded_betti_reference,
     slice_covers_reference,
     subset_lcm_lattice,
@@ -164,6 +167,46 @@ def test_one_covered_homology_call_per_lattice_point(monkeypatch, ideal):
     monkeypatch.setattr(betti_module, "covered_homology", counting)
     betti_table(ideal)
     assert len(calls) == lcm_lattice(ideal).size
+
+
+def _squarefree_cubics(seed: int, nvars: int = 8, ngens: int = 14) -> MonomialIdeal:
+    """Distinct squarefree cubic generators, as in the squarefree-rank benchmark."""
+    rng = random.Random(f"squarefree-cubics:{seed}")
+    supports: set[tuple[int, ...]] = set()
+    while len(supports) < ngens:
+        supports.add(tuple(sorted(rng.sample(range(nvars), 3))))
+    variables = variable_set(nvars)
+    return MonomialIdeal(
+        variables,
+        [Monomial.from_dense(variables, [int(j in s) for j in range(nvars)]) for s in sorted(supports)],
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_q_table_matches_fraction_rank_engine(monkeypatch, seed):
+    # the whole engine, run once more with the dense Q reference as its rank
+    import edgereg.homology as homology_module
+
+    ideal = _squarefree_cubics(seed)
+    _betti_multidegrees.cache_clear()
+    homology_module._covered_homology_cached.cache_clear()
+    table = betti_table(ideal, "Q")
+
+    ranks = []
+
+    def reference_rank(rows, ncols):
+        ranks.append(fraction_rank([[row.get(c, 0) for c in range(ncols)] for row in rows]))
+        return ranks[-1]
+
+    _betti_multidegrees.cache_clear()
+    homology_module._covered_homology_cached.cache_clear()
+    monkeypatch.setattr(homology_module, "rank_int", reference_rank)
+    reference = betti_table(ideal, "Q")
+    _betti_multidegrees.cache_clear()
+    homology_module._covered_homology_cached.cache_clear()
+    assert max(ranks) >= 2
+    assert table.multigraded == reference.multigraded
+    assert table.entries == reference.entries
 
 
 class TestUpperKoszulSlice:
