@@ -10,8 +10,6 @@ from .betti import (
     BettiTable,
     LcmLattice,
     betti_table,
-    compare_tables,
-    has_linear_resolution,
     lcm_lattice,
     private_variable_regularity,
     regularity,

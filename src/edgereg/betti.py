@@ -1,11 +1,14 @@
 """Exact multigraded Betti numbers and Castelnuovo-Mumford regularity.
 
-For a monomial ideal I and a multidegree b in the lcm lattice of its
-minimal generators, the rank of the (i-1)-st reduced homology of the
-squarefree slice complex at b is the multigraded Betti number
-beta_{i,b}(I); multidegrees outside the lattice contribute nothing.  The
-graded table aggregates by total degree and the regularity is
-max{j - i : beta_{i,j} != 0}.
+For a monomial ideal I and a multidegree b, the rank of the (i-1)-st
+reduced homology of the squarefree slice complex at b is the multigraded
+Betti number beta_{i,b}(I).  Only the multidegrees that the Mayer-Vietoris
+tree of I emits can carry a Betti number (Saenz-de-Cabezon, AAECC 20,
+2009), so the table computes one slice per emitted multidegree, not one
+per point of the lcm lattice.  The graded table aggregates by total degree
+and the regularity is max{j - i : beta_{i,j} != 0}.  The tree also bounds
+j - i at each emitted multidegree, so the regularity search stops at that
+bound without building the table.
 
 The slice at b is the complex of squarefree vectors tau inside supp(b)
 with x^b / x^tau still in I.  It is covered by the full simplices
@@ -28,7 +31,7 @@ from .ring import Monomial, VariableSet
 DEFAULT_LATTICE_CAP = 200_000
 
 
-# -- lcm lattice ----------------------------------------------------------
+# -- lcm lattice and Mayer-Vietoris tree ------------------------------------
 
 
 @dataclass(frozen=True)
@@ -47,42 +50,114 @@ def _dense_generators(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     return [g.dense() for g in ideal.generators]
 
 
-def _lattice_tuples(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
-    """All lcms of nonempty subsets of gens, sorted by (degree, exponents).
+class _Packing:
+    """Exponent vectors packed into one int each, for fast lcm and division.
 
-    Each exponent vector is packed into one int: one field per variable,
-    every field one guard bit wider than the largest exponent.  The guard
-    bits of ``(b | guards) - g`` then mark the fields where b >= g, and a
-    join is the SWAR maximum ``b ^ ((g ^ b) & m)`` with ``m`` the value bits
-    of the fields where g > b.  Vectors are unpacked once, at the end.
+    One field per variable, the first variable in the most significant
+    field, every field one guard bit wider than the largest exponent.  The
+    guard bits of ``(b | guards) - g`` then mark the fields where b >= g,
+    so g divides b when all of them are set, and a join is the SWAR maximum
+    ``b ^ ((g ^ b) & m)`` with ``m`` the value bits of the fields where
+    g > b.  A divisor is a smaller int than its multiples.
     """
-    nvars = len(gens[0])
-    shift = max((e for g in gens for e in g), default=0).bit_length()
-    width = shift + 1
-    offsets = range(0, nvars * width, width)
-    guards = sum(1 << (off + shift) for off in offsets)
-    value_mask = (1 << shift) - 1
+
+    __slots__ = ("offsets", "shift", "guards")
+
+    def __init__(self, gens) -> None:
+        self.shift = max((e for g in gens for e in g), default=0).bit_length()
+        width = self.shift + 1
+        self.offsets = range((len(gens[0]) - 1) * width, -1, -width)
+        self.guards = sum(1 << (off + self.shift) for off in self.offsets)
+
+    def pack(self, b: tuple[int, ...]) -> int:
+        return sum(e << off for e, off in zip(b, self.offsets))
+
+    def unpack(self, b: int) -> tuple[int, ...]:
+        mask = (1 << self.shift) - 1
+        return tuple([(b >> off) & mask for off in self.offsets])
+
+    def lcm(self, b: int, g: int) -> int:
+        c = self.guards & ~((b | self.guards) - g)  # guard bits of the fields where g > b
+        return b ^ ((g ^ b) & (c - (c >> self.shift)))
+
+
+def _lattice_tuples(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
+    """All lcms of nonempty subsets of gens, sorted by (degree, exponents)."""
+    pk = _Packing(gens)
     lattice: set[int] = set()
-    for g in gens:
-        g = sum(e << off for e, off in zip(g, offsets))
+    for g in map(pk.pack, gens):
         new = {g}
         for b in lattice:
-            c = guards & ~((b | guards) - g)  # guard bits of the fields where g > b
-            new.add(b ^ ((g ^ b) & (c - (c >> shift))))
+            new.add(pk.lcm(b, g))
         lattice |= new
         if len(lattice) > cap:
             raise ResourceCapError(
                 f"lcm lattice exceeds the size cap {cap}; "
                 f"raise it with --lattice-cap (lattice_cap=) to proceed"
             )
-    tuples = [tuple([(b >> off) & value_mask for off in offsets]) for b in lattice]
-    return sorted(tuples, key=lambda b: (sum(b), b))
+    return sorted(map(pk.unpack, lattice), key=lambda b: (sum(b), b))
 
 
 def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattice:
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm lattice")
     return LcmLattice(tuple(_lattice_tuples(_dense_generators(ideal), cap)))
+
+
+@lru_cache(maxsize=32)  # a table, a regularity and a second field reuse one tree
+def _mv_candidates(
+    gens: tuple[tuple[int, ...], ...], cap: int
+) -> dict[tuple[int, ...], int]:
+    """{b: d_min(b)} over the multidegrees the Mayer-Vietoris tree emits.
+
+    A node at depth d with generators m_1..m_r emits (d, m_k) for every k.
+    For k >= 2 it has a child at depth d + 1 on the minimalized
+    ``(lcm(m_i, m_k) : i < k)``, which generates J ∩ (m_k) for
+    J = (m_1..m_{k-1}).  The Mayer-Vietoris sequence of J + (m_k) shows
+    that beta_{i,b} != 0 only if (i, b) is emitted.  So every Betti
+    multidegree is a key, and beta_{i,b} != 0 implies i >= d_min(b), the
+    least depth that emits b.
+
+    The root keeps the ideal's generator order and every other node
+    descending lex order, which the packed ints give for free.  Nodes are
+    walked level by level, and a node whose generators were met before is
+    skipped: its subtree emits the same multidegrees as the first copy's,
+    none shallower.  More than ``cap`` distinct nodes raise
+    ResourceCapError.  The result is memoized and shared; do not mutate it.
+    """
+    pk = _Packing(gens)
+    guards = pk.guards
+    root = tuple(map(pk.pack, gens))
+    depth: dict[int, int] = {}
+    seen = {root}
+    level = [root]
+    d = 0
+    while level:
+        children = []
+        for node in level:
+            for k, m in enumerate(node):
+                depth.setdefault(m, d)
+                if not k:
+                    continue
+                kept: list[int] = []
+                for b in sorted({pk.lcm(a, m) for a in node[:k]}):  # divisors first
+                    for g in kept:
+                        if ((b | guards) - g) & guards == guards:
+                            break
+                    else:
+                        kept.append(b)
+                child = tuple(reversed(kept))
+                if child not in seen:
+                    seen.add(child)
+                    children.append(child)
+                    if len(seen) > cap:
+                        raise ResourceCapError(
+                            f"Mayer-Vietoris tree exceeds the node cap {cap}; "
+                            f"raise it with --lattice-cap (lattice_cap=) to proceed"
+                        )
+        level = children
+        d += 1
+    return {pk.unpack(b): e for b, e in depth.items()}
 
 
 # -- Betti tables ----------------------------------------------------------
@@ -113,9 +188,6 @@ class BettiTable:
 
     def nonzero(self) -> list[tuple[int, int, int]]:
         return [(i, j, r) for (i, j), r in sorted(self.entries.items()) if r]
-
-    def max_homological_index(self) -> int:
-        return max(i for (i, _j), r in self.entries.items() if r)
 
     def regularity(self) -> int:
         return max(j - i for (i, j), r in self.entries.items() if r)
@@ -191,9 +263,9 @@ def _slice_covers(le: list[list[int]], b: tuple[int, ...]) -> list[int]:
     The vertices are the generators dividing b, ``AND_j le[j][b_j]``; for
     each variable j in supp(b) the divisors that do not attain deg_j(b),
     ``divisors & le[j][b_j - 1]``, span a full simplex, and these simplices
-    cover the (nerve-dual) slice complex.  Lattice points never run past a
-    row; an exponent that does acts as one past every generator's, so it
-    is clamped to the row's last entry.
+    cover the (nerve-dual) slice complex.  Tree candidates are lcms of
+    generators and never run past a row; an exponent that does acts as one
+    past every generator's, so it is clamped to the row's last entry.
     """
     try:
         divisors = -1
@@ -205,7 +277,7 @@ def _slice_covers(le: list[list[int]], b: tuple[int, ...]) -> list[int]:
 
 
 def _slice_betti(le: list[list[int]], b: tuple[int, ...], field: str) -> dict[int, int]:
-    """{homological index i: beta_{i,b}} for one lattice multidegree."""
+    """{homological index i: beta_{i,b}} for one multidegree."""
     hom = covered_homology(_slice_covers(le, b), field)
     return {d + 1: r for d, r in hom.items() if r}
 
@@ -216,10 +288,9 @@ def _betti_multidegrees(
     field: str,
     lattice_cap: int,
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    gen_list = list(gens)
-    le = _divisor_masks(gen_list)
+    le = _divisor_masks(list(gens))
     out = []
-    for b in _lattice_tuples(gen_list, lattice_cap):
+    for b in sorted(_mv_candidates(gens, lattice_cap), key=lambda b: (sum(b), b)):
         ranks = _slice_betti(le, b, field)
         if ranks:
             out.append((b, tuple(sorted(ranks.items()))))
@@ -244,13 +315,50 @@ def betti_table(
     return BettiTable(ideal.variables, field, multigraded)
 
 
+@lru_cache(maxsize=4096)
+def _regularity_search(
+    gens: tuple[tuple[int, ...], ...],
+    field: str,
+    lattice_cap: int,
+) -> tuple[int, tuple[int, int]]:
+    """(regularity, the lexicographically least (i, j) achieving it).
+
+    beta_{i,b} != 0 implies j - i <= |b| - d_min(b) with j = |b|, so the
+    candidates are visited in decreasing order of that bound, and the
+    search stops once the bound falls strictly below the best j - i found.
+    Every pair achieving the regularity has a bound at least that high, so
+    all of them are visited and the witness is the one a full table gives.
+    """
+    le = _divisor_masks(list(gens))
+    candidates = _mv_candidates(gens, lattice_cap)
+    best = (-1, 0)  # (j - i, -i) of the best pair so far
+    for bound, b in sorted(((sum(b) - d, b) for b, d in candidates.items()), reverse=True):
+        if bound < best[0]:
+            break
+        j = sum(b)
+        for i in _slice_betti(le, b, field):
+            best = max(best, (j - i, -i))
+    reg, least_i = best[0], -best[1]
+    return reg, (least_i, least_i + reg)
+
+
+def _regularity_with_witness(
+    ideal: MonomialIdeal, field: str, lattice_cap: int
+) -> tuple[int, tuple[int, int]]:
+    """The regularity and ``BettiTable.regularity_witness``, without a table."""
+    if ideal.is_zero:
+        raise ZeroIdealError("regularity of the zero ideal is undefined")
+    _check_field(field)
+    return _regularity_search(tuple(_dense_generators(ideal)), field, lattice_cap)
+
+
 def regularity(
     ideal: MonomialIdeal,
     field: str = FIELD_Q,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> int:
     """max{j - i : beta_{i,j} != 0}."""
-    return betti_table(ideal, field, lattice_cap).regularity()
+    return _regularity_with_witness(ideal, field, lattice_cap)[0]
 
 
 def private_variable_regularity(ideal: MonomialIdeal) -> int | None:
@@ -274,23 +382,3 @@ def private_variable_regularity(ideal: MonomialIdeal) -> int | None:
         if not private:
             return None
     return len(ideal.support) - len(gens) + 1
-
-
-def compare_tables(a: BettiTable, b: BettiTable) -> list[tuple[int, int, int, int]]:
-    """Entrywise differences [(i, j, rank_a, rank_b)]; empty means equal."""
-    keys = set(a.entries) | set(b.entries)
-    out = []
-    for i, j in sorted(keys):
-        ra, rb = a.rank(i, j), b.rank(i, j)
-        if ra != rb:
-            out.append((i, j, ra, rb))
-    return out
-
-
-def has_linear_resolution(table: BettiTable) -> bool:
-    """All generators in one degree d and beta_{i,j} = 0 unless j = d + i."""
-    degs = table.generator_degrees()
-    if len(degs) != 1:
-        return False
-    d = next(iter(degs))
-    return all(j == d + i for (i, j), r in table.entries.items() if r)

@@ -209,3 +209,74 @@ def family_reference(graph) -> str:
     if components == 1 and m == n and all(indeg[v] == 1 for v in names):
         return "Unicyclic"
     return "Other"
+
+
+# -- readings of a computed table ---------------------------------------------
+# These read an engine BettiTable and compute nothing of their own.
+
+
+def compare_tables(a, b) -> list[tuple[int, int, int, int]]:
+    """Entrywise differences [(i, j, rank_a, rank_b)]; empty means equal."""
+    keys = set(a.entries) | set(b.entries)
+    out = []
+    for i, j in sorted(keys):
+        ra, rb = a.rank(i, j), b.rank(i, j)
+        if ra != rb:
+            out.append((i, j, ra, rb))
+    return out
+
+
+def has_linear_resolution(table) -> bool:
+    """All generators in one degree d and beta_{i,j} = 0 unless j = d + i."""
+    degs = table.generator_degrees()
+    if len(degs) != 1:
+        return False
+    d = next(iter(degs))
+    return all(j == d + i for (i, j), r in table.entries.items() if r)
+
+
+def max_homological_index(table) -> int:
+    return max(i for (i, _j), r in table.entries.items() if r)
+
+
+def k_polynomial_reference(ideal: MonomialIdeal) -> dict[tuple[int, ...], int]:
+    """The K-polynomial of S/I as {exponent vector: nonzero coefficient}.
+
+    By the colon recursion K(S/(J + (m))) = K(S/J) - x^m K(S/(J : m))
+    (Bigatti, JPAA 1997; Miller-Sturmfels, Combinatorial Commutative
+    Algebra, ch. 1 and 5), adding one generator at a time, with
+    K(S/(0)) = 1 and K(S/S) = 0.  No homology, rank or Mayer-Vietoris tree
+    is involved.  Since K(S/I) = 1 - sum_{i,b} (-1)^i beta_{i,b}(I) x^b, it
+    checks the alternating sum of each Betti column, and so cannot see an
+    error that changes beta_{i,b} and beta_{i+1,b} by the same amount:
+    errors that cancel across i go unnoticed.
+    """
+    n = len(ideal.variables)
+    memo: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]] = {}
+
+    def minimal(gens) -> tuple[tuple[int, ...], ...]:
+        pool = sorted(set(gens), key=lambda g: (sum(g), g))
+        kept = []
+        for g in pool:
+            if not any(all(x <= y for x, y in zip(h, g)) for h in kept):
+                kept.append(g)
+        return tuple(kept)
+
+    def k_poly(gens: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:
+        if not gens:
+            return {(0,) * n: 1}
+        if not any(gens[0]):
+            return {}  # the unit ideal: S/S = 0
+        if gens not in memo:
+            *rest, m = gens
+            out = dict(k_poly(tuple(rest)))
+            colon = minimal(tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest)
+            for e, c in k_poly(colon).items():
+                shifted = tuple(x + y for x, y in zip(e, m))
+                out[shifted] = out.get(shifted, 0) - c
+                if not out[shifted]:
+                    del out[shifted]
+            memo[gens] = out
+        return memo[gens]
+
+    return k_poly(minimal(g.dense() for g in ideal.generators))

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgereg.betti import (
+    DEFAULT_LATTICE_CAP,
     _betti_multidegrees,
     _divisor_masks,
+    _mv_candidates,
+    _regularity_with_witness,
     _slice_betti,
     _slice_covers,
     betti_table,
-    compare_tables,
-    has_linear_resolution,
     lcm_lattice,
     private_variable_regularity,
     regularity,
@@ -29,12 +32,18 @@ from edgereg.ideals import (
     restrict_to_variables,
 )
 from edgereg.ring import Monomial, VariableSet, parse_monomial
+from edgereg.verify import REFERENCE_EXAMPLES, enumerate_instances
 
 from conftest import ideals, seeded_random_ideal, variable_set
 from oracles import (
     betti_table_reference,
+    compare_tables,
     fraction_rank,
+    has_linear_resolution,
+    k_polynomial_reference,
+    max_homological_index,
     multigraded_betti_reference,
+    regularity_reference,
     slice_covers_reference,
     subset_lcm_lattice,
 )
@@ -144,6 +153,17 @@ def test_mask_covers_match_tuple_scan_up_to_relabelling(case):
     assert relabelled == expected
 
 
+@given(ideals(n_vars=3, max_gens=4, max_exp=3))
+# beta_{1,b} != 0 at b = x1*x2^2*x3^2*x4^2, which the tree emits at depths 1 and 2
+@example(I("(x2^2*x3^2*x4^2, x1*x2*x3^2*x4, x1^2*x2*x3, x1*x3*x4^2, x1*x2^2)", n=4))
+@settings(max_examples=60, deadline=None)
+def test_every_betti_multidegree_is_a_tree_candidate(ideal):
+    candidates = _mv_candidates(tuple(g.dense() for g in ideal.generators), 10**6)
+    for i, b in multigraded_betti_reference(ideal):
+        assert b.dense() in candidates
+        assert i >= candidates[b.dense()]  # the bound the regularity search stops at
+
+
 @pytest.mark.parametrize(
     "ideal",
     [
@@ -152,8 +172,8 @@ def test_mask_covers_match_tuple_scan_up_to_relabelling(case):
     ],
     ids=["cycle-power", "raw-ideal"],
 )
-def test_one_covered_homology_call_per_lattice_point(monkeypatch, ideal):
-    # benchmark traces count slices through this seam, one per lattice point
+def test_one_covered_homology_call_per_candidate(monkeypatch, ideal):
+    # benchmark traces count slices through this seam
     import edgereg.betti as betti_module
 
     calls = []
@@ -166,7 +186,34 @@ def test_one_covered_homology_call_per_lattice_point(monkeypatch, ideal):
     _betti_multidegrees.cache_clear()
     monkeypatch.setattr(betti_module, "covered_homology", counting)
     betti_table(ideal)
-    assert len(calls) == lcm_lattice(ideal).size
+    candidates = _mv_candidates(tuple(g.dense() for g in ideal.generators), DEFAULT_LATTICE_CAP)
+    assert len(calls) == len(candidates) < lcm_lattice(ideal).size
+
+
+def _lattice_table(ideal: MonomialIdeal, field: str = "Q") -> dict:
+    """The multigraded table with one slice per lcm-lattice point."""
+    le = _divisor_masks([g.dense() for g in ideal.generators])
+    table = {}
+    for b in lcm_lattice(ideal).multidegrees:
+        for i, r in _slice_betti(le, b, field).items():
+            table[(i, Monomial.from_dense(ideal.variables, b))] = r
+    return table
+
+
+def _cycles_with_one_weight_3(n: int):
+    for k in range(n):
+        yield make_cycle([3 if v == k else 2 for v in range(n)])
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [power(edge_ideal(g), t) for t in (2, 3) for g in _cycles_with_one_weight_3(5)]
+    + [power(edge_ideal(ex.build()), ex.t) for ex in REFERENCE_EXAMPLES],
+    ids=[f"C5-w3-at-{k}-t{t}" for t in (2, 3) for k in range(5)]
+    + [ex.name for ex in REFERENCE_EXAMPLES],
+)
+def test_candidate_table_equals_lattice_table(ideal):
+    assert betti_table(ideal).multigraded == _lattice_table(ideal)
 
 
 def _squarefree_cubics(seed: int, nvars: int = 8, ngens: int = 14) -> MonomialIdeal:
@@ -209,6 +256,26 @@ def test_q_table_matches_fraction_rank_engine(monkeypatch, seed):
     assert table.entries == reference.entries
 
 
+@st.composite
+def cycle_powers(draw):
+    n = draw(st.integers(3, 5))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return power(edge_ideal(make_cycle(weights)), draw(st.integers(1, 3)))
+
+
+@given(st.one_of(ideals(n_vars=4, max_gens=5, max_exp=3), cycle_powers()), st.sampled_from(["Q", "GF2"]))
+@settings(max_examples=80, deadline=None)
+def test_alternating_betti_sums_match_the_k_polynomial(ideal, field):
+    # sum_i (-1)^i beta_{i,b} is the coefficient of x^b in 1 - K(S/I)
+    alternating: dict[tuple[int, ...], int] = {}
+    for (i, b), r in betti_table(ideal, field).multigraded.items():
+        alternating[b.dense()] = alternating.get(b.dense(), 0) + (-1) ** i * r
+    expected = {b: -c for b, c in k_polynomial_reference(ideal).items()}
+    one = (0,) * len(ideal.variables)
+    expected[one] = expected.get(one, 0) + 1
+    assert {b: c for b, c in alternating.items() if c} == {b: c for b, c in expected.items() if c}
+
+
 class TestUpperKoszulSlice:
     """beta_{i,b} is the rank of the (i-1)-st reduced homology of the slice at b."""
 
@@ -225,7 +292,7 @@ class TestUpperKoszulSlice:
             assert {i: r for (i, m), r in table.multigraded.items() if m == g} == {0: 1}
 
     def test_non_lattice_multidegree_is_acyclic(self):
-        # the engine visits lattice points only; this is why that is enough
+        # a slice is exact at any multidegree; off the lattice it is acyclic
         ideal = parse_ideal("(x, y)", xy)
         le = _divisor_masks([g.dense() for g in ideal.generators])
         assert _slice_betti(le, (2, 1), "Q") == {}
@@ -303,7 +370,7 @@ def test_betti_zero_row_counts_minimal_generators(ideal):
 def test_homological_indices_respect_syzygy_bound(ideal):
     # projective dimension of an ideal is below the variable count
     table = betti_table(ideal)
-    assert 0 <= table.max_homological_index() < len(ideal.variables)
+    assert 0 <= max_homological_index(table) < len(ideal.variables)
 
 
 @given(ideals(n_vars=3, max_gens=4))
@@ -324,6 +391,40 @@ class TestRegularity:
         i, j = table.regularity_witness()
         assert j - i == table.regularity()
         assert table.rank(i, j) > 0
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    def test_search_matches_the_full_table_on_the_sweep_campaigns(self, field):
+        checked = 0
+        for ideal in _sweep_ideals():
+            table = betti_table(ideal, field)
+            expected = (table.regularity(), table.regularity_witness())
+            assert _regularity_with_witness(ideal, field, DEFAULT_LATTICE_CAP) == expected
+            assert regularity(ideal, field) == table.regularity()
+            checked += 1
+        assert checked > 200
+
+
+def _sweep_ideals():
+    """Every ideal the campaigns of scripts/run_sweeps.py compute, at seed 0."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_sweeps.py"
+    spec = importlib.util.spec_from_file_location("run_sweeps", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for campaign in module.SWEEPS:
+        assert campaign.seed == 0
+        for inst in enumerate_instances(campaign):
+            if inst.graph is None:
+                ideal = power(parse_ideal(inst.ideal_text, VariableSet(inst.variable_names)), inst.t)
+                yield ideal
+                yield polarize(ideal).ideal
+            else:
+                yield power(edge_ideal(inst.graph), inst.t)
+
+
+@given(ideals(n_vars=3, max_gens=4, max_exp=3), st.sampled_from(["Q", "GF2"]))
+@settings(max_examples=60, deadline=None)
+def test_regularity_search_matches_reference(ideal, field):
+    assert regularity(ideal, field) == regularity_reference(ideal, field)
 
 
 class TestRegularityLemmas:

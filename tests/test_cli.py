@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from edgereg.betti import DEFAULT_LATTICE_CAP
-from edgereg.cli import build_parser, main
+from edgereg.betti import DEFAULT_LATTICE_CAP, betti_table
+from edgereg.cli import _ideal_from_args, build_parser, main
 from edgereg.digraph import save_graph
 from edgereg.verify import (
+    REFERENCE_EXAMPLES,
     CampaignSpec,
     cycle5_double_out,
     run_campaign,
@@ -98,21 +99,44 @@ class TestRegCommand:
         assert code == 0
         assert out.strip().splitlines()[0] == "4"
 
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    def test_stdout_matches_a_full_table(self, capsys, tmp_path, triangle_path, field):
+        cases = [
+            ("--ideal", "(x1, x2)"),
+            ("--ideal", "(x1^2*x2, x2^3)", "--vars", "x1,x2"),
+            ("--ideal", TestLatticeCap.TRIANGLE),
+            ("--ideal", "(x1^2, x2)", "--power", "2"),
+            ("--graph", triangle_path, "--power", "2"),
+        ]
+        for ex in REFERENCE_EXAMPLES:
+            path = str(tmp_path / f"{ex.name}.json")
+            save_graph(ex.build(), path)
+            cases.append(("--graph", path, "--power", str(ex.t)))
+        for case in cases:
+            argv = ["reg", *case, "--field", field]
+            table = betti_table(_ideal_from_args(build_parser().parse_args(argv)), field)
+            i, j = table.regularity_witness()
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == f"{table.regularity()}\nwitness: i={i} j={j}\n"
+
 
 class TestLatticeCap:
-    TRIANGLE = "(x1*x2^2, x2*x3^2, x3*x1^2)"  # its lcm lattice has 7 points
+    TRIANGLE = "(x1*x2^2, x2*x3^2, x3*x1^2)"  # its Mayer-Vietoris tree has 4 nodes
 
     def test_capped_reg_fails_until_the_cap_is_raised(self, capsys):
-        code, out, err = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "6")
+        code, out, err = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "3")
         assert code == 2 and out == ""
-        assert "--lattice-cap" in err and "6" in err
-        code, out, _ = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "7")
+        assert "--lattice-cap" in err and "3" in err and "tree" in err
+        code, out, _ = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "4")
         assert code == 0
         assert out.splitlines()[0] == "4"
 
     def test_betti_honours_the_cap(self, capsys):
-        code, _, err = run_cli(capsys, "betti", "--ideal", self.TRIANGLE, "--lattice-cap", "6")
+        code, _, err = run_cli(capsys, "betti", "--ideal", self.TRIANGLE, "--lattice-cap", "3")
         assert code == 2 and "--lattice-cap" in err
+        code, _, _ = run_cli(capsys, "betti", "--ideal", self.TRIANGLE, "--lattice-cap", "4")
+        assert code == 0
 
     def test_verify_passes_the_cap_to_the_campaign(self, capsys, monkeypatch):
         seen = {}
