@@ -13,6 +13,7 @@ from .betti import (
     lcm_lattice,
     private_variable_regularity,
     regularity,
+    regularity_witness,
 )
 from .constructions import (
     ColonStructure,

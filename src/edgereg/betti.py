@@ -2,13 +2,16 @@
 
 For a monomial ideal I and a multidegree b, the rank of the (i-1)-st
 reduced homology of the squarefree slice complex at b is the multigraded
-Betti number beta_{i,b}(I).  Only the multidegrees that the Mayer-Vietoris
-tree of I emits can carry a Betti number (Saenz-de-Cabezon, AAECC 20,
-2009), so the table computes one slice per emitted multidegree, not one
-per point of the lcm lattice.  The graded table aggregates by total degree
-and the regularity is max{j - i : beta_{i,j} != 0}.  The tree also bounds
-j - i at each emitted multidegree, so the regularity search stops at that
-bound without building the table.
+Betti number beta_{i,b}(I).  The table computes one slice per point of the
+lcm lattice of the minimal generators; multidegrees outside it contribute
+nothing.  The graded table aggregates by total degree and the regularity
+is max{j - i : beta_{i,j} != 0}.
+
+The regularity needs no table.  Only the multidegrees that the
+Mayer-Vietoris tree of I emits can carry a Betti number (Saenz-de-Cabezon,
+AAECC 20, 2009), and the tree bounds j - i at each of them, so the
+regularity search visits emitted multidegrees in decreasing order of that
+bound and stops once it falls below the best j - i found.
 
 The slice at b is the complex of squarefree vectors tau inside supp(b)
 with x^b / x^tau still in I.  It is covered by the full simplices
@@ -104,7 +107,7 @@ def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLatt
     return LcmLattice(tuple(_lattice_tuples(_dense_generators(ideal), cap)))
 
 
-@lru_cache(maxsize=32)  # a table, a regularity and a second field reuse one tree
+@lru_cache(maxsize=32)  # a regularity over a second field reuses the tree
 def _mv_candidates(
     gens: tuple[tuple[int, ...], ...], cap: int
 ) -> dict[tuple[int, ...], int]:
@@ -263,9 +266,10 @@ def _slice_covers(le: list[list[int]], b: tuple[int, ...]) -> list[int]:
     The vertices are the generators dividing b, ``AND_j le[j][b_j]``; for
     each variable j in supp(b) the divisors that do not attain deg_j(b),
     ``divisors & le[j][b_j - 1]``, span a full simplex, and these simplices
-    cover the (nerve-dual) slice complex.  Tree candidates are lcms of
-    generators and never run past a row; an exponent that does acts as one
-    past every generator's, so it is clamped to the row's last entry.
+    cover the (nerve-dual) slice complex.  Lattice points and tree
+    candidates are lcms of generators and never run past a row; an exponent
+    that does acts as one past every generator's, so it is clamped to the
+    row's last entry.
     """
     try:
         divisors = -1
@@ -288,9 +292,10 @@ def _betti_multidegrees(
     field: str,
     lattice_cap: int,
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    le = _divisor_masks(list(gens))
+    gen_list = list(gens)
+    le = _divisor_masks(gen_list)
     out = []
-    for b in sorted(_mv_candidates(gens, lattice_cap), key=lambda b: (sum(b), b)):
+    for b in _lattice_tuples(gen_list, lattice_cap):
         ranks = _slice_betti(le, b, field)
         if ranks:
             out.append((b, tuple(sorted(ranks.items()))))
@@ -302,7 +307,10 @@ def betti_table(
     field: str = FIELD_Q,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> BettiTable:
-    """The full graded/multigraded Betti table of a nonzero monomial ideal."""
+    """The full graded/multigraded Betti table of a nonzero monomial ideal.
+
+    ``lattice_cap`` caps the points of the lcm lattice.
+    """
     if ideal.is_zero:
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
     _check_field(field)
@@ -342,10 +350,15 @@ def _regularity_search(
     return reg, (least_i, least_i + reg)
 
 
-def _regularity_with_witness(
-    ideal: MonomialIdeal, field: str, lattice_cap: int
+def regularity_witness(
+    ideal: MonomialIdeal,
+    field: str = FIELD_Q,
+    lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> tuple[int, tuple[int, int]]:
-    """The regularity and ``BettiTable.regularity_witness``, without a table."""
+    """The regularity and ``BettiTable.regularity_witness``, without a table.
+
+    ``lattice_cap`` caps the nodes of the Mayer-Vietoris tree.
+    """
     if ideal.is_zero:
         raise ZeroIdealError("regularity of the zero ideal is undefined")
     _check_field(field)
@@ -357,8 +370,8 @@ def regularity(
     field: str = FIELD_Q,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> int:
-    """max{j - i : beta_{i,j} != 0}."""
-    return _regularity_with_witness(ideal, field, lattice_cap)[0]
+    """max{j - i : beta_{i,j} != 0}; ``lattice_cap`` caps tree nodes."""
+    return regularity_witness(ideal, field, lattice_cap)[0]
 
 
 def private_variable_regularity(ideal: MonomialIdeal) -> int | None:

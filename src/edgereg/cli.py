@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .betti import DEFAULT_LATTICE_CAP, _regularity_with_witness, betti_table
+from .betti import DEFAULT_LATTICE_CAP, betti_table, regularity_witness
 from .constructions import edge_ideal, ordered_power_basis
 from .digraph import WeightedDigraph, load_graph
 from .errors import EdgeRegError
@@ -97,7 +97,7 @@ def cmd_betti(args) -> int:
 
 def cmd_reg(args) -> int:
     ideal = _ideal_from_args(args)
-    reg, (i, j) = _regularity_with_witness(ideal, args.field, args.lattice_cap)
+    reg, (i, j) = regularity_witness(ideal, args.field, args.lattice_cap)
     print(reg)
     print(f"witness: i={i} j={j}")
     return 0
@@ -152,7 +152,8 @@ def cmd_verify(args) -> int:
 def _add_lattice_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP,
-        help=f"most Mayer-Vietoris tree nodes to visit (default {DEFAULT_LATTICE_CAP})",
+        help=f"largest lcm lattice of a Betti table, and most Mayer-Vietoris tree "
+             f"nodes of a regularity (default {DEFAULT_LATTICE_CAP})",
     )
 
 

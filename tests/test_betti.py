@@ -13,13 +13,14 @@ from edgereg.betti import (
     _betti_multidegrees,
     _divisor_masks,
     _mv_candidates,
-    _regularity_with_witness,
+    _regularity_search,
     _slice_betti,
     _slice_covers,
     betti_table,
     lcm_lattice,
     private_variable_regularity,
     regularity,
+    regularity_witness,
 )
 from edgereg.constructions import build_colon_structure, edge_ideal
 from edgereg.digraph import make_cycle
@@ -172,8 +173,8 @@ def test_every_betti_multidegree_is_a_tree_candidate(ideal):
     ],
     ids=["cycle-power", "raw-ideal"],
 )
-def test_one_covered_homology_call_per_candidate(monkeypatch, ideal):
-    # benchmark traces count slices through this seam
+def test_one_covered_homology_call_per_lattice_point(monkeypatch, ideal):
+    # benchmark traces count slices through this seam, one per lattice point
     import edgereg.betti as betti_module
 
     calls = []
@@ -186,15 +187,37 @@ def test_one_covered_homology_call_per_candidate(monkeypatch, ideal):
     _betti_multidegrees.cache_clear()
     monkeypatch.setattr(betti_module, "covered_homology", counting)
     betti_table(ideal)
+    assert len(calls) == lcm_lattice(ideal).size
+
+
+def test_regularity_search_slices_only_tree_candidates(monkeypatch):
+    import edgereg.betti as betti_module
+
+    ideal = power(edge_ideal(make_cycle([2, 3, 2, 2])), 2)
+    table = betti_table(ideal)
+    slices = []
+    original = betti_module._slice_betti
+
+    def recording(le, b, field):
+        slices.append(b)
+        return original(le, b, field)
+
+    _regularity_search.cache_clear()
+    monkeypatch.setattr(betti_module, "_slice_betti", recording)
+    assert regularity(ideal) == table.regularity()
+    _regularity_search.cache_clear()
     candidates = _mv_candidates(tuple(g.dense() for g in ideal.generators), DEFAULT_LATTICE_CAP)
-    assert len(calls) == len(candidates) < lcm_lattice(ideal).size
+    assert len(slices) == len(set(slices))
+    assert set(slices) < set(candidates)
+    assert len(candidates) < lcm_lattice(ideal).size
 
 
-def _lattice_table(ideal: MonomialIdeal, field: str = "Q") -> dict:
-    """The multigraded table with one slice per lcm-lattice point."""
-    le = _divisor_masks([g.dense() for g in ideal.generators])
+def _candidate_table(ideal: MonomialIdeal, field: str = "Q") -> dict:
+    """The multigraded table with one slice per Mayer-Vietoris tree candidate."""
+    gens = tuple(g.dense() for g in ideal.generators)
+    le = _divisor_masks(list(gens))
     table = {}
-    for b in lcm_lattice(ideal).multidegrees:
+    for b in _mv_candidates(gens, DEFAULT_LATTICE_CAP):
         for i, r in _slice_betti(le, b, field).items():
             table[(i, Monomial.from_dense(ideal.variables, b))] = r
     return table
@@ -213,7 +236,7 @@ def _cycles_with_one_weight_3(n: int):
     + [ex.name for ex in REFERENCE_EXAMPLES],
 )
 def test_candidate_table_equals_lattice_table(ideal):
-    assert betti_table(ideal).multigraded == _lattice_table(ideal)
+    assert _candidate_table(ideal) == betti_table(ideal).multigraded
 
 
 def _squarefree_cubics(seed: int, nvars: int = 8, ngens: int = 14) -> MonomialIdeal:
@@ -398,7 +421,7 @@ class TestRegularity:
         for ideal in _sweep_ideals():
             table = betti_table(ideal, field)
             expected = (table.regularity(), table.regularity_witness())
-            assert _regularity_with_witness(ideal, field, DEFAULT_LATTICE_CAP) == expected
+            assert regularity_witness(ideal, field) == expected
             assert regularity(ideal, field) == table.regularity()
             checked += 1
         assert checked > 200

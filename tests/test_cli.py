@@ -122,7 +122,8 @@ class TestRegCommand:
 
 
 class TestLatticeCap:
-    TRIANGLE = "(x1*x2^2, x2*x3^2, x3*x1^2)"  # its Mayer-Vietoris tree has 4 nodes
+    # its Mayer-Vietoris tree has 4 nodes and its lcm lattice 7 points
+    TRIANGLE = "(x1*x2^2, x2*x3^2, x3*x1^2)"
 
     def test_capped_reg_fails_until_the_cap_is_raised(self, capsys):
         code, out, err = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "3")
@@ -133,9 +134,9 @@ class TestLatticeCap:
         assert out.splitlines()[0] == "4"
 
     def test_betti_honours_the_cap(self, capsys):
-        code, _, err = run_cli(capsys, "betti", "--ideal", self.TRIANGLE, "--lattice-cap", "3")
-        assert code == 2 and "--lattice-cap" in err
-        code, _, _ = run_cli(capsys, "betti", "--ideal", self.TRIANGLE, "--lattice-cap", "4")
+        code, _, err = run_cli(capsys, "betti", "--ideal", self.TRIANGLE, "--lattice-cap", "6")
+        assert code == 2 and "--lattice-cap" in err and "lattice" in err
+        code, _, _ = run_cli(capsys, "betti", "--ideal", self.TRIANGLE, "--lattice-cap", "7")
         assert code == 0
 
     def test_verify_passes_the_cap_to_the_campaign(self, capsys, monkeypatch):
