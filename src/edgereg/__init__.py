@@ -11,7 +11,6 @@ from .betti import (
     LcmLattice,
     betti_table,
     lcm_lattice,
-    private_variable_regularity,
     regularity,
     regularity_witness,
 )
@@ -49,7 +48,6 @@ from .ideals import (
     MonomialIdeal,
     Polarization,
     VariableMap,
-    colon_by_ideal,
     colon_by_monomial,
     ideal_sum,
     intersect,
@@ -57,7 +55,6 @@ from .ideals import (
     polarize,
     power,
     product,
-    restrict_to_variables,
 )
 from .ring import Monomial, VariableSet, gcd, lcm, parse_monomial
 from .verify import (

@@ -26,10 +26,10 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotSquarefreeError, ResourceCapError, ZeroIdealError
+from .errors import ResourceCapError, ZeroIdealError
 from .homology import FIELD_Q, _check_field, covered_homology
 from .ideals import MonomialIdeal
-from .ring import Monomial, VariableSet
+from .ring import Monomial, VariableSet, _Packing
 
 DEFAULT_LATTICE_CAP = 200_000
 
@@ -49,44 +49,9 @@ class LcmLattice:
         return len(self.multidegrees)
 
 
-def _dense_generators(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
-    return [g.dense() for g in ideal.generators]
-
-
-class _Packing:
-    """Exponent vectors packed into one int each, for fast lcm and division.
-
-    One field per variable, the first variable in the most significant
-    field, every field one guard bit wider than the largest exponent.  The
-    guard bits of ``(b | guards) - g`` then mark the fields where b >= g,
-    so g divides b when all of them are set, and a join is the SWAR maximum
-    ``b ^ ((g ^ b) & m)`` with ``m`` the value bits of the fields where
-    g > b.  A divisor is a smaller int than its multiples.
-    """
-
-    __slots__ = ("offsets", "shift", "guards")
-
-    def __init__(self, gens) -> None:
-        self.shift = max((e for g in gens for e in g), default=0).bit_length()
-        width = self.shift + 1
-        self.offsets = range((len(gens[0]) - 1) * width, -1, -width)
-        self.guards = sum(1 << (off + self.shift) for off in self.offsets)
-
-    def pack(self, b: tuple[int, ...]) -> int:
-        return sum(e << off for e, off in zip(b, self.offsets))
-
-    def unpack(self, b: int) -> tuple[int, ...]:
-        mask = (1 << self.shift) - 1
-        return tuple([(b >> off) & mask for off in self.offsets])
-
-    def lcm(self, b: int, g: int) -> int:
-        c = self.guards & ~((b | self.guards) - g)  # guard bits of the fields where g > b
-        return b ^ ((g ^ b) & (c - (c >> self.shift)))
-
-
 def _lattice_tuples(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
     """All lcms of nonempty subsets of gens, sorted by (degree, exponents)."""
-    pk = _Packing(gens)
+    pk = _Packing(len(gens[0]), gens)
     lattice: set[int] = set()
     for g in map(pk.pack, gens):
         new = {g}
@@ -104,7 +69,7 @@ def _lattice_tuples(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ..
 def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattice:
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm lattice")
-    return LcmLattice(tuple(_lattice_tuples(_dense_generators(ideal), cap)))
+    return LcmLattice(tuple(_lattice_tuples(ideal._exps, cap)))
 
 
 @lru_cache(maxsize=32)  # a regularity over a second field reuses the tree
@@ -128,8 +93,8 @@ def _mv_candidates(
     none shallower.  More than ``cap`` distinct nodes raise
     ResourceCapError.  The result is memoized and shared; do not mutate it.
     """
-    pk = _Packing(gens)
-    guards = pk.guards
+    pk = _Packing(len(gens[0]), gens)
+    guards, shift = pk.guards, pk.shift
     root = tuple(map(pk.pack, gens))
     depth: dict[int, int] = {}
     seen = {root}
@@ -142,10 +107,15 @@ def _mv_candidates(
                 depth.setdefault(m, d)
                 if not k:
                     continue
+                joins = set()
+                for a in node[:k]:  # the packed lcm, inlined
+                    c = guards & ~((a | guards) - m)
+                    joins.add(a ^ ((m ^ a) & (c - (c >> shift))))
                 kept: list[int] = []
-                for b in sorted({pk.lcm(a, m) for a in node[:k]}):  # divisors first
+                for b in sorted(joins):  # divisors first
+                    bg = b | guards
                     for g in kept:
-                        if ((b | guards) - g) & guards == guards:
+                        if (bg - g) & guards == guards:
                             break
                     else:
                         kept.append(b)
@@ -314,7 +284,7 @@ def betti_table(
     if ideal.is_zero:
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
     _check_field(field)
-    per_b = _betti_multidegrees(tuple(_dense_generators(ideal)), field, lattice_cap)
+    per_b = _betti_multidegrees(ideal._exps, field, lattice_cap)
     multigraded: dict[tuple[int, Monomial], int] = {}
     for b, ranks in per_b:
         bm = Monomial.from_dense(ideal.variables, b)
@@ -362,7 +332,7 @@ def regularity_witness(
     if ideal.is_zero:
         raise ZeroIdealError("regularity of the zero ideal is undefined")
     _check_field(field)
-    return _regularity_search(tuple(_dense_generators(ideal)), field, lattice_cap)
+    return _regularity_search(ideal._exps, field, lattice_cap)
 
 
 def regularity(
@@ -373,25 +343,3 @@ def regularity(
     """max{j - i : beta_{i,j} != 0}; ``lattice_cap`` caps tree nodes."""
     return regularity_witness(ideal, field, lattice_cap)[0]
 
-
-def private_variable_regularity(ideal: MonomialIdeal) -> int | None:
-    """Fast path for squarefree ideals whose generators all own a variable.
-
-    If every minimal generator contains a variable dividing no other
-    generator, the regularity is |supp(I)| - |G(I)| + 1.  Returns None
-    when the fast path does not apply.
-    """
-    if ideal.is_zero:
-        raise ZeroIdealError("regularity of the zero ideal is undefined")
-    if not ideal.is_squarefree:
-        raise NotSquarefreeError("private-variable regularity needs a squarefree ideal")
-    gens = ideal.generators
-    for g in gens:
-        private = False
-        for v in g.support:
-            if all(other is g or v not in other.support for other in gens):
-                private = True
-                break
-        if not private:
-            return None
-    return len(ideal.support) - len(gens) + 1

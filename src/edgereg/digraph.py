@@ -40,7 +40,7 @@ class WeightedDigraph:
 
     __slots__ = (
         "_names", "_weights", "_edges", "_index",
-        "_out", "_in", "_normalizations",
+        "_out", "_in", "_normalizations", "_variables",
     )
 
     def __init__(
@@ -89,6 +89,7 @@ class WeightedDigraph:
         self._out = {v: tuple(hs) for v, hs in out_adj.items()}
         self._in = {v: tuple(ts) for v, ts in in_adj.items()}
         self._normalizations = tuple(normalizations)
+        self._variables = VariableSet(vnames)
 
     # -- basic accessors -------------------------------------------------
 
@@ -143,7 +144,7 @@ class WeightedDigraph:
         return tuple(v for v in self._names if self.degree(v) == 0)
 
     def variable_set(self) -> VariableSet:
-        return VariableSet(self._names)
+        return self._variables
 
     def __eq__(self, other) -> bool:
         return (

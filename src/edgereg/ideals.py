@@ -3,49 +3,79 @@
 Every constructor reduces the given generators to the unique minimal
 generating set (no generator divides another), sorted in descending
 graded-lex order for deterministic output.  The zero ideal has no
-generators; the unit ideal is generated by the unit monomial.
+generators; the unit ideal is generated by the unit monomial.  Generators
+are kept as dense exponent tuples and minimalized on the packed ints of
+``ring._Packing``, the kernel the Mayer-Vietoris tree in ``betti`` uses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ParseError, VariableSetMismatchError, ZeroIdealError
-from .ring import Monomial, VariableSet, parse_monomial
+from .errors import DegreeCapError, ParseError, VariableSetMismatchError
+from .ring import DEGREE_CAP, Monomial, VariableSet, _check_same_ring, _Packing, _text
+from .ring import parse_monomial
+
+Vector = tuple[int, ...]
 
 
-def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # Sorting by degree first means possible divisors precede multiples.
-    pool = sorted(set(gens), key=Monomial.grlex_key)
-    kept: list[Monomial] = []
-    for g in pool:
-        if not any(h.divides(g) for h in kept):
-            kept.append(g)
-    kept.sort(key=Monomial.grlex_key, reverse=True)
-    return tuple(kept)
+def _packed(pk: _Packing, vectors: Iterable[Vector]) -> list[tuple[int, int]]:
+    return [(sum(v), pk.pack(v)) for v in vectors]
+
+
+def _minimal(pk: _Packing, pool: list[tuple[int, int]]) -> tuple[Vector, ...]:
+    """The vectors of the (degree, packed vector) pairs in pool that no
+    other one divides, in descending (degree, lex) order."""
+    guards = pk.guards
+    kept: list[int] = []
+    for _, b in sorted(set(pool)):  # divisors precede their multiples
+        bg = b | guards
+        for g in kept:
+            if (bg - g) & guards == guards:
+                break
+        else:
+            kept.append(b)
+    return tuple([pk.unpack(b) for b in reversed(kept)])
+
+
+def _minimalize(n: int, vectors: list[Vector]) -> tuple[Vector, ...]:
+    pk = _Packing(n, vectors)
+    return _minimal(pk, _packed(pk, vectors))
 
 
 class MonomialIdeal:
-    """A finite set of monomial generators over a shared variable set."""
+    """A finite set of monomial generators over a shared variable set.
 
-    __slots__ = ("_vars", "_gens", "_hash")
+    The minimal generators are stored as dense exponent tuples; their
+    ``Monomial`` objects are built on first access.
+    """
+
+    __slots__ = ("_vars", "_exps", "_gens")
 
     def __init__(self, variables: VariableSet, generators: Iterable[Monomial] = ()):
-        gens = tuple(generators)
-        for g in gens:
+        vectors = []
+        for g in generators:
             if g.variables != variables:
-                raise ValueError(
+                raise VariableSetMismatchError(
                     f"generator {g} lives over {g.variables.names}, "
                     f"not {variables.names}"
                 )
-        self._vars = variables
-        self._gens = _minimalize(gens)
-        self._hash = hash((variables, self._gens))
+            vectors.append(g.dense())
+        self._vars, self._exps = variables, _minimalize(len(variables), vectors)
+        self._gens: tuple[Monomial, ...] | None = None
+
+    @classmethod
+    def _of(cls, variables: VariableSet, exps: tuple[Vector, ...]) -> "MonomialIdeal":
+        """The ideal of already minimal, ordered exponent tuples."""
+        ideal = cls.__new__(cls)
+        ideal._vars, ideal._exps, ideal._gens = variables, exps, None
+        return ideal
 
     @classmethod
     def zero(cls, variables: VariableSet) -> "MonomialIdeal":
-        return cls(variables, ())
+        return cls._of(variables, ())
 
     @property
     def variables(self) -> VariableSet:
@@ -53,41 +83,46 @@ class MonomialIdeal:
 
     @property
     def generators(self) -> tuple[Monomial, ...]:
+        if self._gens is None:
+            self._gens = tuple(Monomial.from_dense(self._vars, v) for v in self._exps)
         return self._gens
 
     @property
     def is_zero(self) -> bool:
-        return not self._gens
+        return not self._exps
 
     @property
     def is_unit(self) -> bool:
-        return len(self._gens) == 1 and self._gens[0].is_unit
+        return len(self._exps) == 1 and not any(self._exps[0])
 
     @property
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree for g in self._gens)
+        return all(e <= 1 for v in self._exps for e in v)
 
     def __len__(self) -> int:
-        return len(self._gens)
+        return len(self._exps)
 
     def __iter__(self):
-        return iter(self._gens)
+        return iter(self.generators)
 
     def __eq__(self, other) -> bool:
         # Minimal generating sets are unique, so this decides ideal equality.
         return (
             isinstance(other, MonomialIdeal)
             and self._vars == other._vars
-            and self._gens == other._gens
+            and self._exps == other._exps
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._vars, self._exps))
 
     def __str__(self) -> str:
         if self.is_zero:
             return "(0)"
-        return "(" + ", ".join(str(g) for g in self._gens) + ")"
+        names = self._vars.names
+        return "(" + ", ".join(
+            _text(names, [(i, e) for i, e in enumerate(v) if e]) for v in self._exps
+        ) + ")"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"
@@ -95,30 +130,23 @@ class MonomialIdeal:
     # -- membership ----------------------------------------------------
 
     def contains_monomial(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self._gens)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains_monomial(g) for g in other._gens)
+        _check_same_ring(self, m)
+        b = m.dense()
+        return any(all(x <= y for x, y in zip(g, b)) for g in self._exps)
 
     # -- derived data ---------------------------------------------------
 
     @property
     def support(self) -> frozenset[int]:
         """Union of the generator supports, as variable indices."""
-        out: set[int] = set()
-        for g in self._gens:
-            out |= g.support
-        return frozenset(out)
+        return frozenset(i for v in self._exps for i, e in enumerate(v) if e)
 
     def max_exponent(self, idx: int) -> int:
-        return max((g.exponent(idx) for g in self._gens), default=0)
+        return max((v[idx] for v in self._exps), default=0)
 
     def generator_degrees(self) -> dict[int, int]:
         """Map degree -> number of minimal generators of that degree."""
-        out: dict[int, int] = {}
-        for g in self._gens:
-            out[g.degree] = out.get(g.degree, 0) + 1
-        return out
+        return dict(Counter(map(sum, self._exps)))
 
 
 # -- arithmetic on ideals ------------------------------------------------
@@ -127,50 +155,37 @@ class MonomialIdeal:
 def ideal_sum(*ideals: MonomialIdeal) -> MonomialIdeal:
     if not ideals:
         raise ValueError("ideal_sum needs at least one ideal")
-    variables = ideals[0].variables
-    gens: list[Monomial] = []
-    for ideal in ideals:
-        if ideal.variables != variables:
-            raise VariableSetMismatchError("ideal_sum operands over different variable sets")
-        gens.extend(ideal.generators)
-    return MonomialIdeal(variables, gens)
+    variables = _check_same_ring(*ideals)
+    vectors = [v for ideal in ideals for v in ideal._exps]
+    return MonomialIdeal._of(variables, _minimalize(len(variables), vectors))
 
 
 def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """(I : m), generated by g / gcd(g, m) over the generators g of I."""
-    if m.variables != ideal.variables:
-        raise VariableSetMismatchError("colon operand over a different variable set")
-    return MonomialIdeal(
-        ideal.variables, (g / g.gcd(m) for g in ideal.generators)
-    )
+    variables = _check_same_ring(ideal, m)
+    b = m.dense()
+    vectors = [tuple([x - y if x > y else 0 for x, y in zip(g, b)]) for g in ideal._exps]
+    return MonomialIdeal._of(variables, _minimalize(len(variables), vectors))
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """I cap J, generated by pairwise lcms of the generators."""
-    if a.variables != b.variables:
-        raise VariableSetMismatchError("intersect operands over different variable sets")
-    return MonomialIdeal(
-        a.variables, (g.lcm(h) for g in a.generators for h in b.generators)
-    )
-
-
-def colon_by_ideal(ideal: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    """(I : J) as the intersection of (I : g) over the generators of J."""
-    if j.is_zero:
-        raise ZeroIdealError("colon by the zero ideal is undefined")
-    parts = [colon_by_monomial(ideal, g) for g in j.generators]
-    out = parts[0]
-    for p in parts[1:]:
-        out = intersect(out, p)
-    return out
+    variables = _check_same_ring(a, b)
+    vectors = [tuple(map(max, g, h)) for g in a._exps for h in b._exps]
+    return MonomialIdeal._of(variables, _minimalize(len(variables), vectors))
 
 
 def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    if a.variables != b.variables:
-        raise VariableSetMismatchError("product operands over different variable sets")
-    return MonomialIdeal(
-        a.variables, (g * h for g in a.generators for h in b.generators)
-    )
+    variables = _check_same_ring(a, b)
+    if a.is_zero or b.is_zero:
+        return MonomialIdeal.zero(variables)
+    degree = sum(a._exps[0]) + sum(b._exps[0])  # the first generators have the top degrees
+    if degree > DEGREE_CAP:
+        raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
+    pk = _Packing(len(variables), a._exps + b._exps, 2)
+    pb = _packed(pk, b._exps)
+    pool = [(d + e, g + h) for d, g in _packed(pk, a._exps) for e, h in pb]
+    return MonomialIdeal._of(variables, _minimal(pk, pool))
 
 
 def power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
@@ -181,15 +196,6 @@ def power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
     for _ in range(t - 1):
         out = product(out, ideal)
     return out
-
-
-def restrict_to_variables(ideal: MonomialIdeal, indices: Iterable[int]) -> MonomialIdeal:
-    """Keep only the generators whose support lies inside `indices`."""
-    allowed = frozenset(indices)
-    return MonomialIdeal(
-        ideal.variables,
-        (g for g in ideal.generators if g.support <= allowed),
-    )
 
 
 # -- polarization ---------------------------------------------------------
@@ -239,13 +245,12 @@ def polarize(ideal: MonomialIdeal) -> Polarization:
     polar_vars = VariableSet(names)
     vmap = VariableMap(base, polar_vars, tuple(slot_of), slots)
     gens = []
-    for g in ideal.generators:
-        exps: dict[int, int] = {}
-        for j, e in g.exponents.items():
-            for k in range(1, e + 1):
-                exps[vmap.polar_index(j, k)] = 1
-        gens.append(Monomial(polar_vars, exps))
-    out = MonomialIdeal(polar_vars, gens)
+    for v in ideal._exps:
+        polar: list[int] = []
+        for e, count in zip(v, slots):
+            polar += [1] * e + [0] * (count - e)
+        gens.append(tuple(polar))
+    out = MonomialIdeal._of(polar_vars, _minimalize(len(polar_vars), gens))
     assert len(out) == len(ideal), "polarization must preserve the generator count"
     return Polarization(out, vmap)
 

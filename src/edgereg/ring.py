@@ -9,6 +9,8 @@ with ``^`` in variable-set order, e.g. ``x1^2*x3``; the unit monomial is
 from __future__ import annotations
 
 import re
+import struct
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import DegreeCapError, ParseError, VariableSetMismatchError
@@ -67,12 +69,61 @@ class VariableSet:
         return f"VariableSet({list(self._names)!r})"
 
 
-def _check_same_ring(a: "Monomial", b: "Monomial") -> None:
-    if a.variables != b.variables:
-        raise VariableSetMismatchError(
-            f"operands over different variable sets: "
-            f"{a.variables.names} vs {b.variables.names}"
-        )
+class _Packing:
+    """Exponent vectors of one length packed into one int each.
+
+    One byte-aligned field per variable, the first variable in the most
+    significant field, so int order is lex order and a divisor is a smaller
+    int than its multiples.  Each field is the narrowest of 8, 16, 32 and
+    64 bits whose top bit, the guard, stays clear for every exponent the
+    packing is sized for; while exponents stay within that size, the sum of
+    two packed vectors packs their sum.  The guard bits of
+    ``(b | guards) - g`` mark the fields where b >= g, so g divides b
+    exactly when all of them are set, and a join is the SWAR maximum
+    ``b ^ ((g ^ b) & m)`` with ``m`` the value bits of the fields where
+    g > b.
+    """
+
+    __slots__ = ("shift", "guards", "_struct")
+
+    def __init__(self, n: int, vectors: Iterable[tuple[int, ...]], scale: int = 1) -> None:
+        """Fields for ``scale`` times the largest exponent of the vectors."""
+        top = scale * max(chain.from_iterable(vectors), default=0)
+        for width, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
+            if top < 1 << (width - 1):
+                break
+        else:
+            raise DegreeCapError(f"exponent {top} does not fit a 64-bit field")
+        self.shift = width - 1
+        self.guards = sum(1 << (k * width + self.shift) for k in range(n))
+        self._struct = struct.Struct(f">{n}{code}")
+
+    def pack(self, b: tuple[int, ...]) -> int:
+        return int.from_bytes(self._struct.pack(*b), "big")
+
+    def unpack(self, b: int) -> tuple[int, ...]:
+        return self._struct.unpack(b.to_bytes(self._struct.size, "big"))
+
+    def lcm(self, b: int, g: int) -> int:
+        c = self.guards & ~((b | self.guards) - g)  # guard bits of the fields where g > b
+        return b ^ ((g ^ b) & (c - (c >> self.shift)))
+
+
+def _text(names: tuple[str, ...], factors: Iterable[tuple[int, int]]) -> str:
+    """Canonical text of the monomial with the given (index, exponent > 0) factors."""
+    return "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in factors) or "1"
+
+
+def _check_same_ring(*operands) -> VariableSet:
+    """The operands' shared variable set; VariableSetMismatchError if they differ."""
+    variables = operands[0].variables
+    for x in operands[1:]:
+        if x.variables != variables:
+            raise VariableSetMismatchError(
+                f"operands over different variable sets: "
+                f"{variables.names} vs {x.variables.names}"
+            )
+    return variables
 
 
 class Monomial:
@@ -206,14 +257,7 @@ class Monomial:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._exps:
-            return "1"
-        parts = []
-        for idx in sorted(self._exps):
-            name = self._vars.names[idx]
-            e = self._exps[idx]
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+        return _text(self._vars.names, sorted(self._exps.items()))
 
     def __repr__(self) -> str:
         return f"Monomial({self})"

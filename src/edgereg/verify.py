@@ -14,7 +14,6 @@ import io
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import product as iter_product
 from typing import Callable, Iterable
@@ -425,6 +424,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     instances = enumerate_instances(spec)
     payloads = [(spec.to_json_dict(), inst) for inst in instances]
     if spec.workers > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             records = list(pool.map(_evaluate_instance, payloads))
     else:

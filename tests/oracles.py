@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
-from edgereg.ideals import MonomialIdeal
+from edgereg.errors import NotSquarefreeError, ZeroIdealError
+from edgereg.ideals import MonomialIdeal, colon_by_monomial, intersect
 from edgereg.ring import Monomial
 
 
@@ -98,6 +100,18 @@ def reduced_homology_of_face_sets(faces: set[frozenset], field: str) -> dict[int
         if h:
             out[d] = h
     return out
+
+
+def minimalize_reference(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """Minimal generators in descending graded-lex order, by pairwise
+    ``Monomial.divides`` on the monomial objects (no packing)."""
+    pool = sorted(set(gens), key=Monomial.grlex_key)
+    kept: list[Monomial] = []
+    for g in pool:
+        if not any(h.divides(g) for h in kept):
+            kept.append(g)
+    kept.sort(key=Monomial.grlex_key, reverse=True)
+    return tuple(kept)
 
 
 def subset_lcm_lattice(ideal: MonomialIdeal) -> set[Monomial]:
@@ -280,3 +294,54 @@ def k_polynomial_reference(ideal: MonomialIdeal) -> dict[tuple[int, ...], int]:
         return memo[gens]
 
     return k_poly(minimal(g.dense() for g in ideal.generators))
+
+
+# -- ideal operations only the tests use ---------------------------------------
+# Formerly public engine API with no caller outside the tests.
+
+
+def contains_ideal(ideal: MonomialIdeal, other: MonomialIdeal) -> bool:
+    return all(ideal.contains_monomial(g) for g in other.generators)
+
+
+def colon_by_ideal(ideal: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+    """(I : J) as the intersection of (I : g) over the generators of J."""
+    if j.is_zero:
+        raise ZeroIdealError("colon by the zero ideal is undefined")
+    parts = [colon_by_monomial(ideal, g) for g in j.generators]
+    out = parts[0]
+    for p in parts[1:]:
+        out = intersect(out, p)
+    return out
+
+
+def restrict_to_variables(ideal: MonomialIdeal, indices: Iterable[int]) -> MonomialIdeal:
+    """Keep only the generators whose support lies inside `indices`."""
+    allowed = frozenset(indices)
+    return MonomialIdeal(
+        ideal.variables,
+        (g for g in ideal.generators if g.support <= allowed),
+    )
+
+
+def private_variable_regularity(ideal: MonomialIdeal) -> int | None:
+    """Closed-form regularity of squarefree ideals whose generators all own a variable.
+
+    If every minimal generator contains a variable dividing no other
+    generator, the regularity is |supp(I)| - |G(I)| + 1.  Returns None
+    when the fast path does not apply.
+    """
+    if ideal.is_zero:
+        raise ZeroIdealError("regularity of the zero ideal is undefined")
+    if not ideal.is_squarefree:
+        raise NotSquarefreeError("private-variable regularity needs a squarefree ideal")
+    gens = ideal.generators
+    for g in gens:
+        private = False
+        for v in g.support:
+            if all(other is g or v not in other.support for other in gens):
+                private = True
+                break
+        if not private:
+            return None
+    return len(ideal.support) - len(gens) + 1

@@ -14,7 +14,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from edgereg.betti import betti_table, private_variable_regularity, regularity
+from edgereg.betti import betti_table, regularity
 from edgereg.constructions import (
     betti_split_power,
     build_colon_structure,
@@ -37,6 +37,8 @@ from edgereg.verify import (
     run_campaign,
     run_reference_examples,
 )
+
+from oracles import private_variable_regularity
 
 pytestmark = pytest.mark.acceptance
 

@@ -18,7 +18,6 @@ from edgereg.betti import (
     _slice_covers,
     betti_table,
     lcm_lattice,
-    private_variable_regularity,
     regularity,
     regularity_witness,
 )
@@ -30,7 +29,6 @@ from edgereg.ideals import (
     parse_ideal,
     polarize,
     power,
-    restrict_to_variables,
 )
 from edgereg.ring import Monomial, VariableSet, parse_monomial
 from edgereg.verify import REFERENCE_EXAMPLES, enumerate_instances
@@ -44,7 +42,9 @@ from oracles import (
     k_polynomial_reference,
     max_homological_index,
     multigraded_betti_reference,
+    private_variable_regularity,
     regularity_reference,
+    restrict_to_variables,
     slice_covers_reference,
     subset_lcm_lattice,
 )
