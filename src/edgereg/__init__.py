@@ -20,7 +20,6 @@ from .constructions import (
     betti_split_power,
     build_colon_structure,
     cycle_edge_generators,
-    decompose_cycle_generator,
     edge_divides,
     edge_ideal,
     ordered_power_basis,
@@ -35,10 +34,8 @@ from .digraph import (
     save_graph,
 )
 from .formulas import (
-    ColonRegularityPrediction,
     FormulaResult,
     closed_form_value,
-    colon_regularity_predictions,
     formula_cycle,
     formula_for_family,
     formula_forest,

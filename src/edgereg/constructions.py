@@ -160,11 +160,6 @@ def ordered_power_basis(graph: WeightedDigraph, t: int) -> OrderedPowerBasis:
     return OrderedPowerBasis(graph, t)
 
 
-def decompose_cycle_generator(graph: WeightedDigraph, t: int, m: Monomial) -> tuple[int, ...]:
-    """The unique exponent vector (a_1..a_n) with m = prod L_i^{a_i}."""
-    return ordered_power_basis(graph, t).vector_of(m)
-
-
 def edge_divides(
     m1: Monomial, k: int, m2: Monomial, t: int, graph: WeightedDigraph
 ) -> bool:
@@ -176,8 +171,8 @@ def edge_divides(
     """
     if not k < t:
         raise ValueError(f"edge divisibility needs k < t, got k={k}, t={t}")
-    v1 = decompose_cycle_generator(graph, k, m1)
-    v2 = decompose_cycle_generator(graph, t, m2)
+    v1 = ordered_power_basis(graph, k).vector_of(m1)
+    v2 = ordered_power_basis(graph, t).vector_of(m2)
     return all(a <= b for a, b in zip(v1, v2))
 
 

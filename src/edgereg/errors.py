@@ -19,10 +19,6 @@ class ZeroIdealError(EdgeRegError, ValueError):
     """Operation requires a nonzero ideal."""
 
 
-class NotSquarefreeError(EdgeRegError, ValueError):
-    """Operation requires a squarefree ideal."""
-
-
 class ParseError(EdgeRegError, ValueError):
     """Malformed monomial or ideal text."""
 

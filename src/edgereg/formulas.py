@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .constructions import build_colon_structure
 from .digraph import Family, FamilyTag, WeightedDigraph, classify, weight_violations
 from .errors import FamilyMismatchError
 
@@ -142,37 +141,3 @@ def formula_for_family(graph: WeightedDigraph, t: int) -> FormulaResult:
         actual = tag.kind.value
         raise FamilyMismatchError(f"no closed form for family {actual}", actual=actual)
     return _predict(graph, t, tag.shape, tag)
-
-
-@dataclass(frozen=True)
-class ColonRegularityPrediction:
-    """Predicted regularity of the colon past the i-th ordered generator.
-
-    ``kind`` is "exact" when the leading edge index is not 1 or the
-    descent depth q is 0, and "bound" (an upper bound) when the leading
-    index is 1 with q >= 1.
-    """
-
-    index: int
-    value: int
-    kind: str
-
-
-def colon_regularity_predictions(
-    graph: WeightedDigraph, t: int, i: int
-) -> ColonRegularityPrediction:
-    _check_t(t)
-    structure = build_colon_structure(graph, t, i)
-    tag = classify(graph)
-    order = tag.cycle
-    n = len(order)
-    weights = [graph.weight(v) for v in order]  # weights[j] = w_{j+1}
-
-    i1 = structure.support_indices[0]
-    if i1 >= 2:
-        value = sum(weights[j] for j in range(i1, n)) - (n - i1) + 1
-        kind = "exact"
-    else:
-        value = sum(weights[1:]) - n + 1
-        kind = "exact" if structure.q == 0 else "bound"
-    return ColonRegularityPrediction(index=i, value=value, kind=kind)

@@ -15,38 +15,31 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import product as iter_product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .betti import DEFAULT_LATTICE_CAP, betti_table, regularity
 from .constructions import (
     betti_split_power,
     build_colon_structure,
+    edge_divides,
     edge_ideal,
     ordered_power_basis,
 )
 from .digraph import WeightedDigraph, classify, make_cycle
 from .errors import ResourceCapError
 from .formulas import FORMULA_BY_FAMILY as _FORMULA_BY_FAMILY
-from .formulas import (
-    FormulaResult,
-    formula_cycle,
-    formula_forest,
-    formula_unicyclic,
-)
-from .ideals import (
-    MonomialIdeal,
-    colon_by_monomial,
-    intersect,
-    parse_ideal,
-    polarize,
-    power,
-)
+from .formulas import FormulaResult, formula_cycle, formula_forest, formula_unicyclic
+from .ideals import MonomialIdeal, colon_by_monomial, intersect, polarize, power
 from .ring import Monomial, VariableSet
 
 REPORT_VERSION = 1
 
 FAMILIES = ("cycle", "forest", "unicyclic", "raw-ideal")
+
+# fewest vertices of a member of each graph family; raw ideals ignore n
+_MIN_VERTICES = {"cycle": 3, "forest": 2, "unicyclic": 4}
 
 
 # -- records and reports -----------------------------------------------------
@@ -133,6 +126,15 @@ class CampaignSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if not self.n_values or not self.t_values:
             raise ValueError("n_values and t_values must be nonempty")
+        if not self.weight_alphabet:
+            raise ValueError("weight_alphabet must be nonempty")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.sample_size < 1:
+            raise ValueError(f"sample_size must be at least 1, got {self.sample_size}")
+        least = _MIN_VERTICES.get(self.family, 0)
+        if max(self.n_values) < least:
+            raise ValueError(f"{self.family} members need n >= {least}, got {self.n_values}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -165,25 +167,19 @@ class CampaignReport(_Report):
     kind = "campaign"
 
     def summary(self) -> dict:
-        matches = sum(1 for r in self.records if r.match is True)
-        mismatches = sum(1 for r in self.records if r.admissible and r.match is False)
-        skips = sum(1 for r in self.records if r.skipped)
-        inadmissible = sum(1 for r in self.records if r.admissible is False)
+        records = self.records
         return {
-            "total": len(self.records),
-            "matches": matches,
-            "mismatches": mismatches,
-            "skipped": skips,
-            "inadmissible": inadmissible,
+            "total": len(records),
+            "matches": sum(r.match is True for r in records),
+            "mismatches": sum(bool(r.admissible) and r.match is False for r in records),
+            "skipped": sum(bool(r.skipped) for r in records),
+            "inadmissible": sum(r.admissible is False for r in records),
         }
 
     def exit_code(self) -> int:
+        """1 on a mismatch, else 3 on a capped skip, else 0."""
         s = self.summary()
-        if s["mismatches"]:
-            return 1
-        if s["skipped"]:
-            return 3
-        return 0
+        return 1 if s["mismatches"] else 3 if s["skipped"] else 0
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -191,17 +187,9 @@ class CampaignReport(_Report):
         writer.writerow(CSV_COLUMNS)
         for r in self.records:
             row = r.to_json_dict(include_timings=True)
-            cells = []
-            for col in CSV_COLUMNS:
-                val = row.get(col)
-                if col == "weights":
-                    val = " ".join(str(w) for w in (val or []))
-                elif col == "violations":
-                    val = "; ".join(val or [])
-                elif val is None:
-                    val = ""
-                cells.append(val)
-            writer.writerow(cells)
+            row["weights"] = " ".join(str(w) for w in row["weights"])
+            row["violations"] = "; ".join(row["violations"])
+            writer.writerow("" if row[col] is None else row[col] for col in CSV_COLUMNS)
         return buf.getvalue()
 
 
@@ -243,57 +231,6 @@ def _canonical_rooted_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
     return [shapes[k] for k in sorted(shapes)]
 
 
-@dataclass(frozen=True)
-class CampaignInstance:
-    descriptor: str
-    n: int
-    t: int
-    weights: tuple[int, ...]
-    graph: WeightedDigraph | None
-    ideal_text: str | None = None
-    variable_names: tuple[str, ...] = ()
-
-
-def _cycle_instances(spec: CampaignSpec) -> list[CampaignInstance]:
-    out = []
-    for n in sorted(spec.n_values):
-        if n < 3:
-            continue
-        for weights in _weight_tuples(spec, n, f"n{n}"):
-            graph = make_cycle(list(weights))
-            for t in sorted(spec.t_values):
-                out.append(
-                    CampaignInstance(
-                        descriptor=f"cycle n={n} w={weights} t={t}",
-                        n=n, t=t, weights=weights, graph=graph,
-                    )
-                )
-    return out
-
-
-def _forest_instances(spec: CampaignSpec) -> list[CampaignInstance]:
-    out = []
-    for n in sorted(spec.n_values):
-        if n < 2:
-            continue
-        for shape_idx, edges in enumerate(_canonical_rooted_trees(n)):
-            for weights_rest in _weight_tuples(spec, n - 1, f"n{n}s{shape_idx}"):
-                weights = (1,) + weights_rest  # the root is a source
-                names = [f"x{i + 1}" for i in range(n)]
-                graph = WeightedDigraph(
-                    [(names[i], weights[i]) for i in range(n)],
-                    [(names[a], names[b]) for a, b in edges],
-                )
-                for t in sorted(spec.t_values):
-                    out.append(
-                        CampaignInstance(
-                            descriptor=f"tree n={n} shape={shape_idx} w={weights} t={t}",
-                            n=n, t=t, weights=weights, graph=graph,
-                        )
-                    )
-    return out
-
-
 def pendant_path_graph(path_len: int, weights: Iterable[int]) -> WeightedDigraph:
     """A 3-cycle with a pendant directed path of the given length at x1."""
     n = 3 + path_len
@@ -301,30 +238,9 @@ def pendant_path_graph(path_len: int, weights: Iterable[int]) -> WeightedDigraph
     if len(weights) != n:
         raise ValueError(f"need {n} weights, got {len(weights)}")
     names = [f"x{i + 1}" for i in range(n)]
+    path = [names[0]] + names[3:]
     edges = [(names[0], names[1]), (names[1], names[2]), (names[2], names[0])]
-    anchor = names[0]
-    for k in range(path_len):
-        edges.append((anchor, names[3 + k]))
-        anchor = names[3 + k]
-    return WeightedDigraph([(names[i], weights[i]) for i in range(n)], edges)
-
-
-def _unicyclic_instances(spec: CampaignSpec) -> list[CampaignInstance]:
-    out = []
-    for n in sorted(spec.n_values):
-        path_len = n - 3
-        if path_len < 1:
-            continue
-        for weights in _weight_tuples(spec, n, f"n{n}"):
-            graph = pendant_path_graph(path_len, weights)
-            for t in sorted(spec.t_values):
-                out.append(
-                    CampaignInstance(
-                        descriptor=f"unicyclic n={n} path={path_len} w={weights} t={t}",
-                        n=n, t=t, weights=weights, graph=graph,
-                    )
-                )
-    return out
+    return WeightedDigraph(list(zip(names, weights)), edges + list(zip(path, path[1:])))
 
 
 def random_monomial_ideal(
@@ -337,64 +253,83 @@ def random_monomial_ideal(
     """A small random nonzero monomial ideal (used by seeded corpora)."""
     nvars = rng.randint(min_variables, max_variables)
     variables = VariableSet([f"x{i + 1}" for i in range(nvars)])
-    n_gens = rng.randint(1, max_generators)
     gens = []
-    for _ in range(n_gens):
-        while True:
+    for _ in range(rng.randint(1, max_generators)):
+        exps = [0] * nvars
+        while not any(exps):
             exps = [rng.randint(0, max_exponent) for _ in range(nvars)]
-            if any(exps):
-                break
         gens.append(Monomial.from_dense(variables, exps))
     return MonomialIdeal(variables, gens)
 
 
-def _raw_ideal_instances(spec: CampaignSpec) -> list[CampaignInstance]:
-    out = []
-    for k in range(spec.sample_size):
-        rng = random.Random(f"{spec.seed}:raw:{k}")
-        ideal = random_monomial_ideal(
-            rng,
-            max_variables=spec.raw_max_variables,
-            max_generators=spec.raw_max_generators,
-            max_exponent=spec.raw_max_exponent,
-        )
-        for t in sorted(spec.t_values):
-            out.append(
-                CampaignInstance(
-                    descriptor=f"raw k={k} I={ideal} t={t}",
-                    n=len(ideal.variables), t=t, weights=(),
-                    graph=None,
-                    ideal_text=str(ideal),
-                    variable_names=ideal.variables.names,
-                )
+def _family_members(spec: CampaignSpec, label: str = "") -> Iterator[tuple]:
+    """(descriptor, weights, graph, raw ideal) of each member of the spec's family.
+
+    ``label`` prefixes the seeded sampling labels; the structure checks pass
+    their own, so they sample independently of a campaign with the same seed.
+    """
+    if spec.family == "raw-ideal":
+        for k in range(spec.sample_size):
+            ideal = random_monomial_ideal(
+                random.Random(f"{spec.seed}:raw:{k}"), spec.raw_max_variables,
+                spec.raw_max_generators, spec.raw_max_exponent,
             )
-    return out
+            yield f"raw k={k} I={ideal}", (), None, ideal
+        return
+    for n in sorted(spec.n_values):
+        if n < _MIN_VERTICES[spec.family]:
+            continue
+        if spec.family == "forest":
+            names = [f"x{i + 1}" for i in range(n)]
+            for shape, edges in enumerate(_canonical_rooted_trees(n)):
+                for rest in _weight_tuples(spec, n - 1, f"{label}n{n}s{shape}"):
+                    weights = (1,) + rest  # the root is a source
+                    graph = WeightedDigraph(
+                        list(zip(names, weights)), [(names[a], names[b]) for a, b in edges]
+                    )
+                    yield f"tree n={n} shape={shape} w={weights}", weights, graph, None
+        elif spec.family == "unicyclic":
+            for weights in _weight_tuples(spec, n, f"{label}n{n}"):
+                graph = pendant_path_graph(n - 3, weights)
+                yield f"unicyclic n={n} path={n - 3} w={weights}", weights, graph, None
+        else:
+            for weights in _weight_tuples(spec, n, f"{label}n{n}"):
+                yield f"cycle n={n} w={weights}", weights, make_cycle(list(weights)), None
 
 
-_INSTANCE_BUILDERS: dict[str, Callable[[CampaignSpec], list[CampaignInstance]]] = {
-    "cycle": _cycle_instances,
-    "forest": _forest_instances,
-    "unicyclic": _unicyclic_instances,
-    "raw-ideal": _raw_ideal_instances,
-}
+@dataclass(frozen=True)
+class CampaignInstance:
+    """One family member at one power t; ``ideal`` is set for raw ideals only."""
+
+    descriptor: str
+    t: int
+    weights: tuple[int, ...]
+    graph: WeightedDigraph | None
+    ideal: MonomialIdeal | None
+
+    @property
+    def n(self) -> int:
+        return self.graph.n_vertices if self.graph is not None else len(self.ideal.variables)
 
 
 def enumerate_instances(spec: CampaignSpec) -> list[CampaignInstance]:
-    return _INSTANCE_BUILDERS[spec.family](spec)
+    """Every member at every t, lexicographic over (member, t)."""
+    return [
+        CampaignInstance(f"{descriptor} t={t}", t, weights, graph, ideal)
+        for descriptor, weights, graph, ideal in _family_members(spec)
+        for t in sorted(spec.t_values)
+    ]
 
 
 # -- instance evaluation -----------------------------------------------------
 
 
-def _evaluate_instance(args: tuple) -> VerificationRecord:
-    spec_dict, inst = args
-    spec = CampaignSpec(**spec_dict)
+def _evaluate_instance(spec: CampaignSpec, inst: CampaignInstance) -> VerificationRecord:
     start = time.perf_counter()
     try:
-        if spec.family == "raw-ideal":
+        if inst.graph is None:
             # the polarization's regularity stands in for a closed form
-            variables = VariableSet(inst.variable_names)
-            ideal = power(parse_ideal(inst.ideal_text, variables), inst.t)
+            ideal = power(inst.ideal, inst.t)
             plain = betti_table(ideal, spec.field, spec.lattice_cap)
             polar = betti_table(polarize(ideal).ideal, spec.field, spec.lattice_cap)
             outcome = dict(
@@ -422,14 +357,14 @@ def _evaluate_instance(args: tuple) -> VerificationRecord:
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Evaluate every enumerated instance; no instance is silently dropped."""
     instances = enumerate_instances(spec)
-    payloads = [(spec.to_json_dict(), inst) for inst in instances]
-    if spec.workers > 1 and len(payloads) > 1:
+    evaluate = partial(_evaluate_instance, spec)
+    if spec.workers > 1 and len(instances) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
 
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            records = list(pool.map(_evaluate_instance, payloads))
+            records = list(pool.map(evaluate, instances))
     else:
-        records = [_evaluate_instance(p) for p in payloads]
+        records = [evaluate(inst) for inst in instances]
     return CampaignReport(spec=spec.to_json_dict(), records=records)
 
 
@@ -515,15 +450,15 @@ class ReferenceRecord(_Record):
     name: str
     family: str
     t: int
-    engine_value: int | None
     expected_engine: int
-    formula_value: int | None
     expected_formula: int
-    admissible: bool | None
-    violations: tuple[str, ...]
-    ok: bool
-    skipped: str | None
     elapsed_s: float
+    ok: bool = False
+    engine_value: int | None = None
+    formula_value: int | None = None
+    admissible: bool | None = None
+    violations: tuple[str, ...] = ()
+    skipped: str | None = None
     # set only when the GF(2) regularity disagrees with the Q value
     engine_value_gf2: int | None = None
 
@@ -560,13 +495,10 @@ def run_reference_examples(
                 engine_value=engine_value, formula_value=result.value,
                 admissible=result.admissible, violations=result.violations,
                 ok=engine_value == ex.expected_engine and result.value == ex.expected_formula,
-                skipped=None, engine_value_gf2=None if gf2_value == engine_value else gf2_value,
+                engine_value_gf2=None if gf2_value == engine_value else gf2_value,
             )
         except ResourceCapError as exc:
-            outcome = dict(
-                engine_value=None, formula_value=None, admissible=None, violations=(),
-                ok=False, skipped=str(exc),
-            )
+            outcome = dict(skipped=str(exc))
         records.append(
             ReferenceRecord(
                 name=ex.name, family=family, t=ex.t, expected_engine=ex.expected_engine,
@@ -609,107 +541,78 @@ class StructureReport(_Report):
         }
 
 
-def _check_basis_structure(graph, t) -> tuple[int, int, list[str]]:
+def _check_basis_structure(graph, t, spec) -> Iterator[tuple[bool, str]]:
     """Unique decomposition and strict lex descent of the ordered basis."""
     basis = ordered_power_basis(graph, t)
-    checked = failures = 0
-    details: list[str] = []
     monomials = [e.monomial for e in basis]
-    checked += 1
-    if len(set(monomials)) != len(monomials):
-        failures += 1
-        details.append("basis monomials are not pairwise distinct")
-    checked += 1
+    yield len(set(monomials)) == len(monomials), "basis monomials are not pairwise distinct"
     vectors = [e.vector for e in basis]
-    if any(not vectors[k] > vectors[k + 1] for k in range(len(vectors) - 1)):
-        failures += 1
-        details.append("basis vectors are not strictly lex-descending")
-    checked += 1
-    expected = set(power(edge_ideal(graph), t).generators)
-    if set(monomials) != expected:
-        failures += 1
-        details.append("basis monomials differ from the power's minimal generators")
-    return checked, failures, details
+    yield (
+        all(a > b for a, b in zip(vectors, vectors[1:])),
+        "basis vectors are not strictly lex-descending",
+    )
+    yield (
+        set(monomials) == set(power(edge_ideal(graph), t).generators),
+        "basis monomials differ from the power's minimal generators",
+    )
 
 
-def _check_edge_divisibility(graph, t) -> tuple[int, int, list[str]]:
-    """Vector-domination test against the product definition, k = 1."""
-    from .constructions import edge_divides
+def _check_edge_divisibility(graph, t, spec) -> Iterator[tuple[bool, str]]:
+    """Vector-domination test against the product definition, k = 1.
 
+    By definition e1 divides e2 when e2 = e1 * m3 for a generator m3 of
+    the (t-1)-th power, i.e. when the exponent difference is one of them.
+    """
     if t < 2:
-        return 0, 0, []
-    basis_t = ordered_power_basis(graph, t)
-    basis_1 = ordered_power_basis(graph, 1)
-    lower = ordered_power_basis(graph, t - 1)
-    checked = failures = 0
-    details: list[str] = []
-    for e1 in basis_1:
-        for e2 in basis_t:
-            checked += 1
-            fast = edge_divides(e1.monomial, 1, e2.monomial, t, graph)
-            brute = any(
-                e1.monomial * m3.monomial == e2.monomial for m3 in lower
-            )
-            if fast != brute:
-                failures += 1
-                details.append(
-                    f"edge divisibility disagrees for {e1.monomial} | {e2.monomial}"
-                )
-    return checked, failures, details
+        return
+    basis_t = [(e.monomial, e.monomial.dense()) for e in ordered_power_basis(graph, t)]
+    basis_1 = [(e.monomial, e.monomial.dense()) for e in ordered_power_basis(graph, 1)]
+    lower = {e.monomial.dense() for e in ordered_power_basis(graph, t - 1)}
+    for m1, a in basis_1:
+        for m2, b in basis_t:
+            brute = tuple(y - x for x, y in zip(a, b)) in lower
+            ok = edge_divides(m1, 1, m2, t, graph) == brute
+            yield ok, "" if ok else f"edge divisibility disagrees for {m1} | {m2}"
 
 
-def _check_colon_structures(graph, t) -> tuple[int, int, list[str]]:
+def _check_colon_structures(graph, t, spec) -> Iterator[tuple[bool, str]]:
     """Explicit colon form equals the directly computed colon, every index."""
-    basis = ordered_power_basis(graph, t)
-    checked = failures = 0
-    details: list[str] = []
-    for i in range(1, len(basis)):
-        checked += 1
+    for i in range(1, len(ordered_power_basis(graph, t))):
         structure = build_colon_structure(graph, t, i)
         direct = colon_by_monomial(structure.tail, structure.entry.monomial)
-        if direct != structure.colon_form:
-            failures += 1
-            details.append(f"colon mismatch at index {i}")
-    return checked, failures, details
+        yield direct == structure.colon_form, f"colon mismatch at index {i}"
 
 
-def _check_split_identity(graph, t, field="Q") -> tuple[int, int, list[str]]:
+def _check_split_identity(graph, t, spec) -> Iterator[tuple[bool, str]]:
     """Betti additivity across the principal split of the power."""
     ideal = power(edge_ideal(graph), t)
     j_part, k_part = betti_split_power(graph, t)
-    checked = failures = 0
-    details: list[str] = []
-    checked += 1
-    union = set(j_part.generators) | set(k_part.generators)
-    if set(ideal.generators) != union or (set(j_part.generators) & set(k_part.generators)):
-        failures += 1
-        details.append("split parts are not a disjoint cover of the generators")
-    table_i = betti_table(ideal, field)
-    table_j = betti_table(j_part, field)
-    table_k = betti_table(k_part, field)
-    table_jk = betti_table(intersect(j_part, k_part), field)
+    j_gens, k_gens = set(j_part.generators), set(k_part.generators)
+    yield (
+        set(ideal.generators) == j_gens | k_gens and not j_gens & k_gens,
+        "split parts are not a disjoint cover of the generators",
+    )
+    table_i, table_j, table_k, table_jk = (
+        betti_table(part, spec.field, spec.lattice_cap)
+        for part in (ideal, j_part, k_part, intersect(j_part, k_part))
+    )
     keys = set(table_i.entries) | set(table_j.entries) | set(table_k.entries)
     keys |= {(i + 1, j) for (i, j) in table_jk.entries}
-    checked += 1
-    for i, j in sorted(keys):
-        lhs = table_i.rank(i, j)
-        rhs = table_j.rank(i, j) + table_k.rank(i, j)
-        if i >= 1:
-            rhs += table_jk.rank(i - 1, j)
-        if lhs != rhs:
-            failures += 1
-            details.append(f"additivity fails at (i={i}, j={j}): {lhs} != {rhs}")
-            break
-    checked += 1
-    reg_rule = max(
-        table_j.regularity(), table_k.regularity(), table_jk.regularity() - 1
+
+    def rhs(i: int, j: int) -> int:
+        below = table_jk.rank(i - 1, j) if i >= 1 else 0
+        return table_j.rank(i, j) + table_k.rank(i, j) + below
+
+    bad = [
+        f"additivity fails at (i={i}, j={j}): {table_i.rank(i, j)} != {rhs(i, j)}"
+        for i, j in sorted(keys) if table_i.rank(i, j) != rhs(i, j)
+    ]
+    yield not bad, bad[0] if bad else ""
+    reg_rule = max(table_j.regularity(), table_k.regularity(), table_jk.regularity() - 1)
+    yield (
+        table_i.regularity() == reg_rule,
+        f"regularity rule fails: {table_i.regularity()} != {reg_rule}",
     )
-    if table_i.regularity() != reg_rule:
-        failures += 1
-        details.append(
-            f"regularity rule fails: {table_i.regularity()} != {reg_rule}"
-        )
-    return checked, failures, details
 
 
 _STRUCTURE_CHECKS = (
@@ -721,25 +624,25 @@ _STRUCTURE_CHECKS = (
 
 
 def run_structure_checks(spec: CampaignSpec) -> StructureReport:
-    """Run the ordered-basis property suites over a cycle-family range."""
+    """Run the ordered-basis property suites over a cycle-family range.
+
+    Each check yields one (ok, detail) verdict per property it tests; a
+    record counts them and keeps the first eight failure details.
+    """
     if spec.family != "cycle":
         raise ValueError("structure checks are defined for the cycle family only")
     records: list[StructureRecord] = []
-    for n in sorted(spec.n_values):
-        if n < 3:
-            continue
-        for weights in _weight_tuples(spec, n, f"structure-n{n}"):
-            graph = make_cycle(list(weights))
-            for t in sorted(spec.t_values):
-                for name, fn in _STRUCTURE_CHECKS:
-                    start = time.perf_counter()
-                    checked, failures, details = fn(graph, t)
-                    records.append(
-                        StructureRecord(
-                            n=n, t=t, weights=weights, check=name,
-                            checked=checked, failures=failures,
-                            details=tuple(details[:8]),
-                            elapsed_s=time.perf_counter() - start,
-                        )
+    for _, weights, graph, _ in _family_members(spec, "structure-"):
+        for t in sorted(spec.t_values):
+            for name, check in _STRUCTURE_CHECKS:
+                start = time.perf_counter()
+                verdicts = list(check(graph, t, spec))
+                details = tuple(detail for ok, detail in verdicts if not ok)
+                records.append(
+                    StructureRecord(
+                        n=len(weights), t=t, weights=weights, check=name,
+                        checked=len(verdicts), failures=len(details), details=details[:8],
+                        elapsed_s=time.perf_counter() - start,
                     )
+                )
     return StructureReport(spec=spec.to_json_dict(), records=records)

@@ -9,13 +9,20 @@ integer elimination, bit-packed GF(2)).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from edgereg.errors import NotSquarefreeError, ZeroIdealError
+from edgereg.constructions import build_colon_structure, ordered_power_basis
+from edgereg.digraph import WeightedDigraph, classify
+from edgereg.errors import EdgeRegError, ZeroIdealError
 from edgereg.ideals import MonomialIdeal, colon_by_monomial, intersect
 from edgereg.ring import Monomial
+
+
+class NotSquarefreeError(EdgeRegError, ValueError):
+    """Operation requires a squarefree ideal."""
 
 
 def fraction_rank(rows: list[list[int]]) -> int:
@@ -345,3 +352,40 @@ def private_variable_regularity(ideal: MonomialIdeal) -> int | None:
         if not private:
             return None
     return len(ideal.support) - len(gens) + 1
+
+
+def decompose_cycle_generator(graph: WeightedDigraph, t: int, m: Monomial) -> tuple[int, ...]:
+    """The unique exponent vector (a_1..a_n) with m = prod L_i^{a_i}."""
+    return ordered_power_basis(graph, t).vector_of(m)
+
+
+@dataclass(frozen=True)
+class ColonRegularityPrediction:
+    """Predicted regularity of the colon past the i-th ordered generator.
+
+    ``kind`` is "exact" when the leading edge index is not 1 or the
+    descent depth q is 0, and "bound" (an upper bound) when the leading
+    index is 1 with q >= 1.
+    """
+
+    index: int
+    value: int
+    kind: str
+
+
+def colon_regularity_predictions(
+    graph: WeightedDigraph, t: int, i: int
+) -> ColonRegularityPrediction:
+    structure = build_colon_structure(graph, t, i)
+    order = classify(graph).cycle
+    n = len(order)
+    weights = [graph.weight(v) for v in order]  # weights[j] = w_{j+1}
+
+    i1 = structure.support_indices[0]
+    if i1 >= 2:
+        value = sum(weights[j] for j in range(i1, n)) - (n - i1) + 1
+        kind = "exact"
+    else:
+        value = sum(weights[1:]) - n + 1
+        kind = "exact" if structure.q == 0 else "bound"
+    return ColonRegularityPrediction(index=i, value=value, kind=kind)

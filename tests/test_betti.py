@@ -23,7 +23,7 @@ from edgereg.betti import (
 )
 from edgereg.constructions import build_colon_structure, edge_ideal
 from edgereg.digraph import make_cycle
-from edgereg.errors import NotSquarefreeError, ResourceCapError, ZeroIdealError
+from edgereg.errors import ResourceCapError, ZeroIdealError
 from edgereg.ideals import (
     MonomialIdeal,
     parse_ideal,
@@ -35,6 +35,7 @@ from edgereg.verify import REFERENCE_EXAMPLES, enumerate_instances
 
 from conftest import ideals, seeded_random_ideal, variable_set
 from oracles import (
+    NotSquarefreeError,
     betti_table_reference,
     compare_tables,
     fraction_rank,
@@ -437,7 +438,7 @@ def _sweep_ideals():
         assert campaign.seed == 0
         for inst in enumerate_instances(campaign):
             if inst.graph is None:
-                ideal = power(parse_ideal(inst.ideal_text, VariableSet(inst.variable_names)), inst.t)
+                ideal = power(inst.ideal, inst.t)
                 yield ideal
                 yield polarize(ideal).ideal
             else:

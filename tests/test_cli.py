@@ -257,6 +257,11 @@ class TestBadInput:
             ("ideal", "--graph", "{numeric_name}"),
             ("ideal", "--graph", "{list_endpoint}"),
             ("reg", "--ideal", "(x1*x2^2, x2*x3^2, x3*x1^2)", "--lattice-cap", "3"),
+            ("verify", "campaign", "--workers", "0"),
+            ("verify", "campaign", "--workers", "-3"),
+            ("verify", "campaign", "--weights", ""),
+            ("verify", "campaign", "--n", "2"),
+            ("verify", "structure", "--n", "2"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):

@@ -8,7 +8,6 @@ from edgereg.constructions import (
     betti_split_power,
     build_colon_structure,
     cycle_edge_generators,
-    decompose_cycle_generator,
     edge_divides,
     edge_ideal,
     ordered_power_basis,
@@ -18,6 +17,8 @@ from edgereg.errors import EmptyGraphError, FamilyMismatchError, GeneratorMember
 from edgereg.ideals import MonomialIdeal, colon_by_monomial, parse_ideal, power
 from edgereg.ring import VariableSet, parse_monomial
 from edgereg.verify import square_pendant_light_path
+
+from oracles import decompose_cycle_generator
 
 
 def I(text: str, n: int = 3) -> MonomialIdeal:

@@ -8,7 +8,6 @@ from edgereg.digraph import Family, WeightedDigraph, make_cycle
 from edgereg.errors import FamilyMismatchError
 from edgereg.formulas import (
     closed_form_value,
-    colon_regularity_predictions,
     formula_cycle,
     formula_for_family,
     formula_forest,
@@ -22,6 +21,8 @@ from edgereg.verify import (
     square_pendant_inward_edge,
     square_pendant_light_path,
 )
+
+from oracles import colon_regularity_predictions
 
 
 def path_graph(weights):

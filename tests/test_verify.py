@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from edgereg import verify
 from edgereg.verify import (
     CampaignReport,
     CampaignSpec,
@@ -178,6 +182,23 @@ class TestStructureChecks:
         with pytest.raises(ValueError):
             run_structure_checks(CampaignSpec(family="forest", n_values=(3,), t_values=(1,)))
 
+    def test_split_tables_use_the_spec_field_and_cap(self, monkeypatch):
+        seen = []
+        original = verify.betti_table
+
+        def spy(ideal, *args):
+            seen.append(args)
+            return original(ideal, *args)
+
+        monkeypatch.setattr(verify, "betti_table", spy)
+        spec = CampaignSpec(
+            family="cycle", n_values=(3,), t_values=(1, 2), weight_alphabet=(2,),
+            field="GF2", lattice_cap=5000,
+        )
+        assert run_structure_checks(spec).exit_code() == 0
+        # four tables per split check, one split check per (graph, t)
+        assert seen == [("GF2", 5000)] * 8
+
     def test_structure_report_deterministic(self):
         spec = CampaignSpec(family="cycle", n_values=(3,), t_values=(1,), weight_alphabet=(2, 3))
         assert (
@@ -195,6 +216,64 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CampaignSpec(family="cycle", n_values=(), t_values=(1,))
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            small_cycle_spec(workers=workers)
+
+    @pytest.mark.parametrize("family", ["cycle", "raw-ideal"])
+    def test_sample_size_below_one(self, family):
+        with pytest.raises(ValueError, match="sample_size"):
+            CampaignSpec(family=family, n_values=(5,), t_values=(1,), sample_size=0)
+
+    def test_empty_weight_alphabet(self):
+        with pytest.raises(ValueError, match="weight_alphabet"):
+            small_cycle_spec(weight_alphabet=())
+
+    @pytest.mark.parametrize("family, n_values", [
+        ("cycle", (2,)), ("cycle", (1, 2)), ("forest", (1,)), ("unicyclic", (3,)),
+    ])
+    def test_every_n_below_the_family_minimum(self, family, n_values):
+        with pytest.raises(ValueError, match="n >="):
+            CampaignSpec(family=family, n_values=n_values, t_values=(1,))
+
+    def test_a_valid_n_keeps_the_spec_and_drops_the_rest(self):
+        spec = CampaignSpec(family="unicyclic", n_values=(3, 4), t_values=(1,))
+        assert {inst.n for inst in enumerate_instances(spec)} == {4}
+
     def test_graph_builder_validates_weights(self):
         with pytest.raises(ValueError):
             pendant_path_graph(1, [2, 2, 2])
+
+
+def _run_sweeps_module():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_sweeps.py"
+    spec = importlib.util.spec_from_file_location("run_sweeps", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of each report's canonical JSON.  Any change to a descriptor, the
+# record order, a count or a detail text changes them; update them only
+# for an intended change to the reports.
+PINNED_SHA256 = {
+    "cycle": "5f0efea6d3dffc8fbfd76351c2bfe92d2a782048d61af54e43f73d613e37e048",
+    "forest": "8452d8c2a870b8af02b85839e239102aa796aa96ea3a6f5a3abbbacdc1b6afaa",
+    "unicyclic": "f6e8b63361b518006f9c59e1805133077a2c162a246f8b7e6d928de5134f783f",
+    "raw-ideal": "17835d22b61723c88eab3b8103cce86d0a967ced63448fecbf43f25e45bc791d",
+    "structure": "61f53f72f1d166a18b17c95e230442db010e85fc58fb6547087d8329077dbac4",
+    "examples": "9172b68f42e8e7f435268f4e713ab8ee55f9c43d766752ea3a1817ddee7685d2",
+}
+
+
+def test_sweep_reports_match_their_pinned_bytes():
+    sweeps = _run_sweeps_module()
+    texts = {spec.family: run_campaign(spec).canonical_json() for spec in sweeps.SWEEPS}
+    texts["structure"] = run_structure_checks(sweeps.STRUCTURE).canonical_json()
+    texts["examples"] = json.dumps(
+        run_reference_examples().to_json_dict(include_timings=False),
+        sort_keys=True, separators=(",", ":"),
+    )
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == PINNED_SHA256
