@@ -122,9 +122,11 @@ def cmd_verify(args) -> int:
                 fh.write(out + "\n")
         print(out)
         return report.exit_code()
+    family = args.family if args.mode == "campaign" else "cycle"
+    default_n = "4" if family == "unicyclic" else "3..4"
     spec = CampaignSpec(
-        family=args.family if args.mode == "campaign" else "cycle",
-        n_values=_parse_range(args.n),
+        family=family,
+        n_values=_parse_range(default_n if args.n is None else args.n),
         t_values=_parse_range(args.t),
         weight_alphabet=_parse_alphabet(args.weights),
         seed=args.seed,
@@ -198,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verification harness")
     p.add_argument("mode", choices=("examples", "campaign", "structure"))
     p.add_argument("--family", choices=("cycle", "forest", "unicyclic", "raw-ideal"), default="cycle")
-    p.add_argument("--n", default="3..4")
+    p.add_argument("--n", help="n values, e.g. 3..5 or 3,5 (default 4 for unicyclic, else 3..4)")
     p.add_argument("--t", default="1..2")
     p.add_argument("--weights", default="2,3")
     p.add_argument("--seed", type=int, default=0)

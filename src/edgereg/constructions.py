@@ -17,9 +17,11 @@ from functools import lru_cache
 from typing import Iterator
 
 from .digraph import Family, WeightedDigraph, classify
-from .errors import EmptyGraphError, FamilyMismatchError, GeneratorMembershipError
-from .ideals import MonomialIdeal, colon_by_monomial, ideal_sum
-from .ring import Monomial, VariableSet
+from .errors import (
+    DegreeCapError, EmptyGraphError, FamilyMismatchError, GeneratorMembershipError,
+)
+from .ideals import MonomialIdeal, _minimalize, colon_by_monomial, ideal_sum
+from .ring import DEGREE_CAP, Monomial, VariableSet
 
 
 def edge_ideal(graph: WeightedDigraph) -> MonomialIdeal:
@@ -29,17 +31,20 @@ def edge_ideal(graph: WeightedDigraph) -> MonomialIdeal:
     if graph.n_edges == 0:
         raise EmptyGraphError("graph has no edges; its edge ideal is zero")
     variables = graph.variable_set()
-    return MonomialIdeal(
-        variables, [_edge_monomial(graph, variables, tail, head) for tail, head in graph.edges]
-    )
+    vectors = [_edge_vector(graph, variables, tail, head) for tail, head in graph.edges]
+    return MonomialIdeal._of(variables, _minimalize(len(variables), vectors))
 
 
-def _edge_monomial(
+def _edge_vector(
     graph: WeightedDigraph, variables: VariableSet, tail: str, head: str
-) -> Monomial:
-    """``x_tail * x_head^{w(head)}``; tail != head since graphs have no self-loops."""
-    exponents = {variables.index(tail): 1, variables.index(head): graph.weight(head)}
-    return Monomial(variables, exponents)
+) -> tuple[int, ...]:
+    """Exponents of ``x_tail * x_head^{w(head)}``; tail != head since graphs have no self-loops."""
+    weight = graph.weight(head)
+    if weight >= DEGREE_CAP:
+        raise DegreeCapError(f"monomial degree {weight + 1} exceeds cap {DEGREE_CAP}")
+    exps = [0] * len(variables)
+    exps[variables.index(tail)], exps[variables.index(head)] = 1, weight
+    return tuple(exps)
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,8 @@ def cycle_edge_generators(graph: WeightedDigraph) -> list[EdgeGenerator]:
     order = _require_cycle(graph)
     variables = graph.variable_set()
     n = len(order)
-    return [
-        EdgeGenerator(i, _edge_monomial(graph, variables, order[(i - 2) % n], order[i - 1]))
-        for i in range(1, n + 1)
-    ]
+    vectors = [_edge_vector(graph, variables, order[i - 1], order[i]) for i in range(n)]
+    return [EdgeGenerator(i, Monomial.from_dense(variables, v)) for i, v in enumerate(vectors, 1)]
 
 
 def _require_weights_at_least_two(graph: WeightedDigraph, order: tuple[str, ...]) -> list[int]:

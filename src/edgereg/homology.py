@@ -10,7 +10,10 @@ Transposing back and forth strictly reduces the vertex count until it
 stabilizes (each side is bounded by the other side's cover count), and a
 complex whose maximal cover sets share a vertex is a cone, hence has no
 reduced homology.  All reductions preserve homotopy type, so reduced
-homology is computed on the small survivor.
+homology is computed on the small survivor, as the homology of the pair
+(K, st v) for the vertex v in the most faces: the closed star of v is a
+cone, so the long exact sequence of the pair gives the reduced homology
+of K, over the integers, from the chains of the faces outside the star.
 
 Conventions: the void complex (no faces at all) has no homology in any
 degree; the complex containing only the empty face has reduced homology
@@ -66,16 +69,26 @@ def enumerate_union_faces(covers: list[int], cap: int = MAX_FACES) -> set[int]:
 
 
 def boundary_rank_table(faces: set[int], field: str) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-dimension face counts and boundary ranks of an explicit complex.
+    """Per-dimension cell counts and boundary ranks of the pair (K, st v).
 
-    Faces are bitmasks; the empty face (mask 0) is the single cell in
-    dimension -1 and the rank of the augmentation is included.  Columns
-    are ordered by mask value so runs are reproducible.
+    Faces are bitmasks of a nonvoid complex K.  The apex v is the vertex
+    in the most faces (the lowest such bit on a tie; with no vertex at all
+    the star is empty and K is kept whole), and its closed star
+    st v -- every face s with s | v in K, the empty face included -- is
+    dropped: the cells are the remaining faces, and a boundary term that
+    lands in the star is zero in the quotient C(K)/C(st v).  The star is
+    a cone, hence contractible, so by the long exact sequence of the pair
+    H_d(K, st v) is the reduced homology of K in every degree, over the
+    integers and so over either field.  Columns are ordered by mask value
+    so runs are reproducible.
     """
     _check_field(field)
+    apex = 1 << max(range(reduce(or_, faces).bit_length()), default=0,
+                    key=lambda i: len([f for f in faces if f >> i & 1]))
     by_dim: dict[int, list[int]] = {}
     for f in faces:
-        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+        if f | apex not in faces:
+            by_dim.setdefault(f.bit_count() - 1, []).append(f)
     for fs in by_dim.values():
         fs.sort()
     counts = {d: len(fs) for d, fs in by_dim.items()}
@@ -84,31 +97,22 @@ def boundary_rank_table(faces: set[int], field: str) -> tuple[dict[int, int], di
         if d - 1 not in by_dim:
             continue
         target_index = {f: i for i, f in enumerate(by_dim[d - 1])}
-        ncols = counts[d - 1]
+        rows = []
+        for f in by_dim[d]:
+            row = {}
+            sign = 1
+            v = f
+            while v:
+                bit = v & -v
+                if (i := target_index.get(f ^ bit)) is not None:
+                    row[i] = sign
+                sign = -sign
+                v ^= bit
+            rows.append(row)
         if field == FIELD_GF2:
-            rows = []
-            for f in by_dim[d]:
-                row = 0
-                v = f
-                while v:
-                    bit = v & -v
-                    row |= 1 << target_index[f ^ bit]
-                    v ^= bit
-                rows.append(row)
-            ranks[d] = rank_gf2(rows, ncols)
+            ranks[d] = rank_gf2([sum(1 << i for i in row) for row in rows], counts[d - 1])
         else:
-            rows = []
-            for f in by_dim[d]:
-                row = {}
-                sign = 1
-                v = f
-                while v:
-                    bit = v & -v
-                    row[target_index[f ^ bit]] = sign
-                    sign = -sign
-                    v ^= bit
-                rows.append(row)
-            ranks[d] = rank_int(rows, ncols)
+            ranks[d] = rank_int(rows, counts[d - 1])
     return counts, ranks
 
 

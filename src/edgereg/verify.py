@@ -133,7 +133,7 @@ class CampaignSpec:
         if self.sample_size < 1:
             raise ValueError(f"sample_size must be at least 1, got {self.sample_size}")
         least = _MIN_VERTICES.get(self.family, 0)
-        if max(self.n_values) < least:
+        if min(self.n_values) < least:
             raise ValueError(f"{self.family} members need n >= {least}, got {self.n_values}")
 
     def to_json_dict(self) -> dict:
@@ -277,8 +277,6 @@ def _family_members(spec: CampaignSpec, label: str = "") -> Iterator[tuple]:
             yield f"raw k={k} I={ideal}", (), None, ideal
         return
     for n in sorted(spec.n_values):
-        if n < _MIN_VERTICES[spec.family]:
-            continue
         if spec.family == "forest":
             names = [f"x{i + 1}" for i in range(n)]
             for shape, edges in enumerate(_canonical_rooted_trees(n)):

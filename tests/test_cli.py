@@ -240,6 +240,14 @@ class TestVerifyCommand:
         assert code == 0
         assert spec_holder["spec"].family == "cycle"
 
+    @pytest.mark.parametrize("family, n_values", [("unicyclic", [4]), ("cycle", [3, 4])])
+    def test_default_n_is_the_family_range(self, capsys, family, n_values):
+        code, out, _ = run_cli(
+            capsys, "verify", "campaign", "--family", family, "--t", "1", "--weights", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["spec"]["n_values"] == n_values
+
 
 class TestBadInput:
     """Every rejected input is one ``error:`` line on stderr and exit 2."""
@@ -262,6 +270,7 @@ class TestBadInput:
             ("verify", "campaign", "--weights", ""),
             ("verify", "campaign", "--n", "2"),
             ("verify", "structure", "--n", "2"),
+            ("verify", "campaign", "--family", "unicyclic", "--n", "3..4"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):

@@ -13,9 +13,11 @@ from edgereg.constructions import (
     ordered_power_basis,
 )
 from edgereg.digraph import WeightedDigraph, make_cycle
-from edgereg.errors import EmptyGraphError, FamilyMismatchError, GeneratorMembershipError
+from edgereg.errors import (
+    DegreeCapError, EmptyGraphError, FamilyMismatchError, GeneratorMembershipError,
+)
 from edgereg.ideals import MonomialIdeal, colon_by_monomial, parse_ideal, power
-from edgereg.ring import VariableSet, parse_monomial
+from edgereg.ring import DEGREE_CAP, VariableSet, parse_monomial
 from edgereg.verify import square_pendant_light_path
 
 from oracles import decompose_cycle_generator
@@ -41,6 +43,11 @@ class TestEdgeIdeal:
     def test_single_edge(self):
         g = WeightedDigraph([("x", 1), ("y", 3)], [("x", "y")])
         assert str(edge_ideal(g)) == "(x*y^3)"
+
+    def test_weight_over_the_degree_cap_rejected(self):
+        g = WeightedDigraph([("x", 1), ("y", DEGREE_CAP)], [("x", "y")])
+        with pytest.raises(DegreeCapError, match="exceeds cap"):
+            edge_ideal(g)
 
     def test_edgeless_rejected(self):
         with pytest.raises(EmptyGraphError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from edgereg.errors import ResourceCapError
 from edgereg.homology import (
+    boundary_rank_table,
     covered_homology,
     enumerate_union_faces,
     homology_from_faces,
@@ -65,6 +66,31 @@ class TestFieldDependence:
 
     def test_projective_plane_over_gf2(self):
         assert homology_of_facets(RP2_FACETS, "GF2") == {1: 1, 2: 1}
+
+    @pytest.mark.parametrize("field, expected", [("Q", {}), ("GF2", {1: 1, 2: 1})])
+    def test_projective_plane_faces_keep_their_torsion_on_the_pair(self, field, expected):
+        # the nerve reduction never sees these faces: only the pair (K, st v) does
+        faces = enumerate_union_faces([sum(1 << v for v in f) for f in RP2_FACETS])
+        assert homology_from_faces(faces, field) == expected
+
+
+class TestPairWithTheApexStar:
+    """``boundary_rank_table`` keeps only the faces outside the apex's closed star."""
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    def test_hollow_tetrahedron_keeps_the_opposite_triangle(self, field):
+        faces = set(range(15))  # every proper subset of {0, 1, 2, 3}
+        assert boundary_rank_table(faces, field) == ({2: 1}, {})
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    def test_two_isolated_vertices_keep_one_vertex(self, field):
+        assert boundary_rank_table({0b00, 0b01, 0b10}, field) == ({0: 1}, {})
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    def test_a_cone_keeps_nothing(self, field):
+        # vertex 2 cones the edge {0, 1} plus an isolated vertex 3
+        faces = enumerate_union_faces([0b0111, 0b1100])
+        assert boundary_rank_table(faces, field) == ({}, {})
 
 
 class TestMaximalMasks:
@@ -143,15 +169,15 @@ def test_empty_cover_family_is_the_empty_face_complex():
     assert enumerate_union_faces([]) == {0}
 
 
-@given(cover_families())
-@settings(max_examples=100, deadline=None)
-def test_homology_from_faces_matches_oracle_over_q(family):
+@given(cover_families(), st.sampled_from(["Q", "GF2"]))
+@settings(max_examples=200, deadline=None)
+def test_homology_from_faces_matches_oracle(family, field):
     nverts, covers = family
     faces = enumerate_union_faces(maximal_masks(covers))
     face_sets = {
         frozenset(i for i in range(nverts) if (f >> i) & 1) for f in faces
     }
-    assert homology_from_faces(faces, "Q") == reduced_homology_of_face_sets(face_sets, "Q")
+    assert homology_from_faces(faces, field) == reduced_homology_of_face_sets(face_sets, field)
 
 
 def test_cone_is_detected_without_enumeration():

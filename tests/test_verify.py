@@ -237,9 +237,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="n >="):
             CampaignSpec(family=family, n_values=n_values, t_values=(1,))
 
-    def test_a_valid_n_keeps_the_spec_and_drops_the_rest(self):
-        spec = CampaignSpec(family="unicyclic", n_values=(3, 4), t_values=(1,))
-        assert {inst.n for inst in enumerate_instances(spec)} == {4}
+    def test_one_n_below_the_family_minimum_rejects_the_spec(self):
+        with pytest.raises(ValueError, match="n >= 4"):
+            CampaignSpec(family="unicyclic", n_values=(3, 4), t_values=(1,))
 
     def test_graph_builder_validates_weights(self):
         with pytest.raises(ValueError):
