@@ -114,6 +114,8 @@ def cmd_formula(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.csv is not None and args.mode != "campaign":
+        raise ValueError("--csv applies to verify campaign only")
     if args.mode == "examples":
         report = run_reference_examples(field=args.field, lattice_cap=args.lattice_cap)
         out = report.to_json()
@@ -122,10 +124,9 @@ def cmd_verify(args) -> int:
                 fh.write(out + "\n")
         print(out)
         return report.exit_code()
-    family = args.family if args.mode == "campaign" else "cycle"
-    default_n = "4" if family == "unicyclic" else "3..4"
+    default_n = "4" if args.family == "unicyclic" else "3..4"
     spec = CampaignSpec(
-        family=family,
+        family=args.family,
         n_values=_parse_range(default_n if args.n is None else args.n),
         t_values=_parse_range(args.t),
         weight_alphabet=_parse_alphabet(args.weights),
@@ -144,7 +145,7 @@ def cmd_verify(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.mode == "campaign" and args.csv:
+    if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
     print(json.dumps(report.summary(), sort_keys=True), file=sys.stderr)
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     _add_lattice_cap(p)
     p.add_argument("--out")
-    p.add_argument("--csv")
+    p.add_argument("--csv", help="also write the campaign records as CSV (campaign only)")
     p.set_defaults(fn=cmd_verify)
 
     return parser

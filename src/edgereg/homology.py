@@ -6,14 +6,18 @@ Faces are never enumerated until the complex has been shrunk.  A union
 of simplices is homotopy equivalent to the nerve of the cover, and the
 nerve of ``{M_1, ..., M_k}`` on vertex set V is again a union of
 simplices, covered by ``{W_v : v in V}`` with ``W_v = {i : v in M_i}``.
-Transposing back and forth strictly reduces the vertex count until it
-stabilizes (each side is bounded by the other side's cover count), and a
-complex whose maximal cover sets share a vertex is a cone, hence has no
-reduced homology.  All reductions preserve homotopy type, so reduced
-homology is computed on the small survivor, as the homology of the pair
-(K, st v) for the vertex v in the most faces: the closed star of v is a
+The reduction is one strong-collapse loop on the incidence matrix
+(Barmak-Minian): each round drops the covers contained in another cover
+(the row step), stops if the survivors share a vertex (a cone has no
+reduced homology), and reads the columns ``W_v`` off the set bits (the
+column step).  The columns are the covers of the nerve, on dense labels
+0..k-1; the loop stops when the nerve would not have fewer vertices, and
+the last columns give the memo key.  On the survivor, reduced
+homology is that of the pair (K, st v) for an apex v chosen from the
+covers: the closed star of v is the union of the covers through v, a
 cone, so the long exact sequence of the pair gives the reduced homology
 of K, over the integers, from the chains of the faces outside the star.
+Only the covers that miss v are enumerated.
 
 Conventions: the void complex (no faces at all) has no homology in any
 degree; the complex containing only the empty face has reduced homology
@@ -23,7 +27,7 @@ of rank 1 in degree -1.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_
 
 from .errors import ResourceCapError
 from .linalg import rank_gf2, rank_int
@@ -43,10 +47,14 @@ def _check_field(field: str) -> None:
 
 def maximal_masks(masks) -> list[int]:
     """Drop masks contained in another mask; result sorted descending."""
-    distinct = sorted(set(masks), key=lambda m: (-m.bit_count(), -m))
+    distinct = sorted(set(masks), reverse=True)
+    distinct.sort(key=int.bit_count, reverse=True)  # stable: by size, then value
     out: list[int] = []
     for m in distinct:
-        if not any(m | o == o for o in out):
+        for o in out:
+            if m | o == o:
+                break
+        else:
             out.append(m)
     return out
 
@@ -68,26 +76,39 @@ def enumerate_union_faces(covers: list[int], cap: int = MAX_FACES) -> set[int]:
     return faces
 
 
-def boundary_rank_table(faces: set[int], field: str) -> tuple[dict[int, int], dict[int, int]]:
+def boundary_rank_table(covers: list[int], field: str) -> tuple[dict[int, int], dict[int, int]]:
     """Per-dimension cell counts and boundary ranks of the pair (K, st v).
 
-    Faces are bitmasks of a nonvoid complex K.  The apex v is the vertex
-    in the most faces (the lowest such bit on a tie; with no vertex at all
-    the star is empty and K is kept whole), and its closed star
-    st v -- every face s with s | v in K, the empty face included -- is
-    dropped: the cells are the remaining faces, and a boundary term that
-    lands in the star is zero in the quotient C(K)/C(st v).  The star is
-    a cone, hence contractible, so by the long exact sequence of the pair
-    H_d(K, st v) is the reduced homology of K in every degree, over the
-    integers and so over either field.  Columns are ordered by mask value
-    so runs are reproducible.
+    K is the union of the full simplices on the vertex bitmasks
+    ``covers``.  The apex v is the vertex with the largest sum of 2^|C|
+    over the covers C that contain it (the lowest such bit on a tie; with
+    no vertex at all the star is empty and K is kept whole).  Its closed
+    star st v -- every face s with s | v in K, the empty face included --
+    is the union of the covers through v, so the cells, the faces of K
+    outside st v, are the faces of the other covers that lie in no cover
+    through v; only the covers that miss v are enumerated.  A boundary
+    term that lands in the star is zero in the quotient C(K)/C(st v).
+    The star is a cone, hence contractible, so by the long exact sequence
+    of the pair H_d(K, st v) is the reduced homology of K in every
+    degree, over the integers and so over either field.  Columns are
+    ordered by mask value so runs are reproducible.
     """
     _check_field(field)
-    apex = 1 << max(range(reduce(or_, faces).bit_length()), default=0,
-                    key=lambda i: len([f for f in faces if f >> i & 1]))
+    weight: dict[int, int] = {}
+    for cover in covers:
+        w = 1 << cover.bit_count()
+        while cover:
+            bit = cover & -cover
+            weight[bit] = weight.get(bit, 0) + w
+            cover ^= bit
+    apex = max(weight, key=lambda bit: (weight[bit], -bit), default=0)
+    star = [c for c in covers if c & apex]
     by_dim: dict[int, list[int]] = {}
-    for f in faces:
-        if f | apex not in faces:
+    for f in enumerate_union_faces([c for c in covers if not c & apex]):
+        for c in star:
+            if f | c == c:
+                break
+        else:
             by_dim.setdefault(f.bit_count() - 1, []).append(f)
     for fs in by_dim.values():
         fs.sort()
@@ -116,85 +137,33 @@ def boundary_rank_table(faces: set[int], field: str) -> tuple[dict[int, int], di
     return counts, ranks
 
 
-def homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
-    """Reduced homology ranks {dimension: rank}, zero ranks omitted."""
-    if not faces:
-        return {}
-    if faces == {0}:
-        return {-1: 1}
-    counts, ranks = boundary_rank_table(faces, field)
+@lru_cache(maxsize=65536)
+def _covered_homology_cached(covers: tuple[int, ...], field: str) -> tuple[tuple[int, int], ...]:
+    counts, ranks = boundary_rank_table(list(covers), field)
     for d, r in ranks.items():
         if not 0 <= r <= min(counts[d], counts.get(d - 1, 0)):
             raise AssertionError(
                 f"boundary rank {r} out of bounds for chain sizes in dimension {d}"
             )
-    out: dict[int, int] = {}
-    for d, cd in counts.items():
+    out = []
+    for d, cd in sorted(counts.items()):
         h = cd - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if h < 0:
             raise AssertionError("negative homology rank: boundary ranks inconsistent")
         if h:
-            out[d] = h
-    return out
+            out.append((d, h))
+    return tuple(out)
 
 
-def _transpose_cover(covers: list[int], nverts: int) -> list[int]:
-    out = []
-    for v in range(nverts):
-        bit = 1 << v
-        m = 0
-        for i, mask in enumerate(covers):
-            if mask & bit:
-                m |= 1 << i
-        out.append(m)
-    return out
+def homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
+    """Reduced homology ranks {dimension: rank}, zero ranks omitted.
 
-
-def _canonical_cover(covers: list[int], nverts: int) -> tuple[int, ...]:
-    """Relabel vertices by their cover-membership signature.
-
-    Only needs to be isomorphism-safe (it permutes vertices), not a true
-    canonical form; it exists so structurally identical slices hit the
-    homology cache.
+    ``faces`` are the bitmasks of a complex, closed under subsets; its
+    maximal faces are the covers of :func:`boundary_rank_table`.
     """
-    sigs = _transpose_cover(covers, nverts)
-    order = sorted(range(nverts), key=lambda v: (sigs[v], v))
-    relabel = {old: new for new, old in enumerate(order)}
-    remapped = []
-    for mask in covers:
-        m = 0
-        v = mask
-        while v:
-            bit = v & -v
-            m |= 1 << relabel[bit.bit_length() - 1]
-            v ^= bit
-        remapped.append(m)
-    return tuple(sorted(remapped))
-
-
-@lru_cache(maxsize=65536)
-def _covered_homology_cached(covers: tuple[int, ...], field: str) -> tuple[tuple[int, int], ...]:
-    faces = enumerate_union_faces(list(covers))
-    return tuple(sorted(homology_from_faces(faces, field).items()))
-
-
-def _compact(masks: list[int]) -> tuple[list[int], int]:
-    """Relabel the vertices the masks use to 0..k-1, keeping their order."""
-    used = reduce(or_, masks)
-    label = {}
-    while used:
-        bit = used & -used
-        label[bit] = 1 << len(label)
-        used ^= bit
-    out = []
-    for mask in masks:
-        m = 0
-        while mask:
-            bit = mask & -mask
-            m |= label[bit]
-            mask ^= bit
-        out.append(m)
-    return out, len(label)
+    if not faces:
+        return {}
+    return dict(_covered_homology_cached(tuple(maximal_masks(faces)), field))
 
 
 def covered_homology(covers: list[int], field: str) -> dict[int, int]:
@@ -206,28 +175,38 @@ def covered_homology(covers: list[int], field: str) -> dict[int, int]:
     :func:`enumerate_union_faces`), so an empty cover family is the
     empty-face-only complex, not the void complex.  A vertex shared by all
     covers cones the complex; only the covers of a complex that is not such
-    a cone are relabelled to dense vertices and reduced.
+    a cone are reduced, and the survivor is relabelled by the sorted
+    vertex signatures before it reaches the memo.
     """
     _check_field(field)
     if not covers:
         return {-1: 1}
     if reduce(and_, covers):
         return {}  # a common vertex cones the complex
-    live = maximal_masks(covers)
-    if live == [0]:
+    rows = maximal_masks(covers)
+    if rows == [0]:
         return {-1: 1}
-    live, nverts = _compact([m for m in live if m])
     while True:
-        inter = live[0]
-        for m in live[1:]:
-            inter &= m
-        if inter:
+        if reduce(and_, rows):
             return {}  # a common vertex cones the complex
-        k = len(live)
-        if k >= nverts:
+        cols: dict[int, int] = {}
+        for i, row in enumerate(rows):
+            row_bit = 1 << i
+            while row:
+                bit = row & -row
+                cols[bit] = cols.get(bit, 0) | row_bit
+                row ^= bit
+        if len(rows) >= len(cols):
             break
-        # nerve transpose: strictly fewer vertices
-        live = maximal_masks(m for m in _transpose_cover(live, nverts) if m)
-        nverts = k
-    key = _canonical_cover(live, nverts)
-    return dict(_covered_homology_cached(key, field))
+        # nerve: strictly fewer vertices, labelled by row index
+        rows = maximal_masks(cols.values())
+    # the memo key permutes vertices, so it is safe without being a true
+    # canonical form: vertex j is the j-th smallest signature, and vertices
+    # with equal signatures are interchangeable, so ties need no order
+    key = [0] * len(rows)
+    for j, sig in enumerate(sorted(cols.values())):
+        while sig:
+            bit = sig & -sig
+            key[bit.bit_length() - 1] |= 1 << j
+            sig ^= bit
+    return dict(_covered_homology_cached(tuple(sorted(key)), field))

@@ -271,6 +271,9 @@ class TestBadInput:
             ("verify", "campaign", "--n", "2"),
             ("verify", "structure", "--n", "2"),
             ("verify", "campaign", "--family", "unicyclic", "--n", "3..4"),
+            ("verify", "structure", "--family", "unicyclic", "--t", "1"),
+            ("verify", "structure", "--n", "3", "--t", "1", "--csv", "{csv}"),
+            ("verify", "examples", "--csv", "{csv}"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):
@@ -285,10 +288,12 @@ class TestBadInput:
             "vertices": [{"name": "a", "weight": 2}, {"name": "b", "weight": 2}],
             "edges": [["a", ["b"]]],
         }))
-        files = dict(graph=triangle_path, malformed=malformed,
+        csv = tmp_path / "out.csv"
+        files = dict(graph=triangle_path, malformed=malformed, csv=csv,
                      numeric_name=numeric_name, list_endpoint=list_endpoint)
         argv = [a.format(**files) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not csv.exists()

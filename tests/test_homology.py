@@ -6,6 +6,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgereg import homology
 from edgereg.errors import ResourceCapError
 from edgereg.homology import (
     boundary_rank_table,
@@ -79,18 +80,50 @@ class TestPairWithTheApexStar:
 
     @pytest.mark.parametrize("field", ["Q", "GF2"])
     def test_hollow_tetrahedron_keeps_the_opposite_triangle(self, field):
-        faces = set(range(15))  # every proper subset of {0, 1, 2, 3}
-        assert boundary_rank_table(faces, field) == ({2: 1}, {})
+        covers = [0b0111, 0b1011, 0b1101, 0b1110]  # the four triangles
+        assert boundary_rank_table(covers, field) == ({2: 1}, {})
 
     @pytest.mark.parametrize("field", ["Q", "GF2"])
     def test_two_isolated_vertices_keep_one_vertex(self, field):
-        assert boundary_rank_table({0b00, 0b01, 0b10}, field) == ({0: 1}, {})
+        assert boundary_rank_table([0b01, 0b10], field) == ({0: 1}, {})
 
     @pytest.mark.parametrize("field", ["Q", "GF2"])
     def test_a_cone_keeps_nothing(self, field):
         # vertex 2 cones the edge {0, 1} plus an isolated vertex 3
-        faces = enumerate_union_faces([0b0111, 0b1100])
-        assert boundary_rank_table(faces, field) == ({}, {})
+        assert boundary_rank_table([0b0111, 0b1100], field) == ({}, {})
+
+
+class TestCellsOutsideTheApexStar:
+    """Only the covers that miss the apex reach ``enumerate_union_faces``."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        calls = []
+
+        def recording(covers, *args):
+            calls.append(list(covers))
+            return enumerate_union_faces(covers, *args)
+
+        monkeypatch.setattr(homology, "enumerate_union_faces", recording)
+        return calls
+
+    @pytest.mark.parametrize("field, ranks", [("Q", {2: 5}), ("GF2", {2: 4})])
+    def test_projective_plane(self, handed, field, ranks):
+        # every vertex lies in five triangles, so the apex is vertex 0; the
+        # cells are the five edges and five triangles outside its closed star
+        covers = [sum(1 << v for v in f) for f in RP2_FACETS]
+        assert boundary_rank_table(covers, field) == ({1: 5, 2: 5}, ranks)
+        assert handed == [[c for c in covers if not c & 1]]
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    def test_a_large_star_is_never_enumerated(self, handed, field):
+        # a 9-simplex on 0..9 closed into a circle by the path 0-11-10-9,
+        # with a pendant edge {10, 12}; vertex 10 lies in the most covers,
+        # but vertex 0 (tied with 9, lower bit) has the simplex in its star
+        rest = [1 << 10 | 1 << 11, 1 << 9 | 1 << 10, 1 << 10 | 1 << 12]
+        covers = [(1 << 10) - 1, 1 | 1 << 11, *rest]
+        assert boundary_rank_table(covers, field) == ({0: 2, 1: 3}, {1: 2})
+        assert handed == [rest]
 
 
 class TestMaximalMasks:
