@@ -34,6 +34,11 @@ from .ring import Monomial, VariableSet, _Packing
 DEFAULT_LATTICE_CAP = 200_000
 
 
+def _check_cap(lattice_cap: int) -> None:
+    if lattice_cap < 1:
+        raise ValueError(f"--lattice-cap (lattice_cap=) must be at least 1, got {lattice_cap}")
+
+
 # -- lcm lattice and Mayer-Vietoris tree ------------------------------------
 
 
@@ -284,6 +289,7 @@ def betti_table(
     if ideal.is_zero:
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
     _check_field(field)
+    _check_cap(lattice_cap)
     per_b = _betti_multidegrees(ideal._exps, field, lattice_cap)
     multigraded: dict[tuple[int, Monomial], int] = {}
     for b, ranks in per_b:
@@ -293,7 +299,6 @@ def betti_table(
     return BettiTable(ideal.variables, field, multigraded)
 
 
-@lru_cache(maxsize=4096)
 def _regularity_search(
     gens: tuple[tuple[int, ...], ...],
     field: str,
@@ -332,6 +337,7 @@ def regularity_witness(
     if ideal.is_zero:
         raise ZeroIdealError("regularity of the zero ideal is undefined")
     _check_field(field)
+    _check_cap(lattice_cap)
     return _regularity_search(ideal._exps, field, lattice_cap)
 
 

@@ -113,10 +113,22 @@ def cmd_formula(args) -> int:
     return 0
 
 
+# The flags that pick the instances of verify campaign and structure, and
+# their defaults; --n defaults per family.
+_SWEEP_DEFAULTS = {"family": "cycle", "n": None, "t": "1..2", "weights": "2,3",
+                   "seed": 0, "workers": 1}
+
+
 def cmd_verify(args) -> int:
+    for flag in ("out", "csv"):
+        if getattr(args, flag) == "":
+            raise ValueError(f"--{flag} needs a file path, got an empty one")
     if args.csv is not None and args.mode != "campaign":
         raise ValueError("--csv applies to verify campaign only")
+    given = [f for f in _SWEEP_DEFAULTS if getattr(args, f) is not None]
     if args.mode == "examples":
+        if given:
+            raise ValueError(f"--{given[0]} applies to verify campaign and structure only")
         report = run_reference_examples(field=args.field, lattice_cap=args.lattice_cap)
         out = report.to_json()
         if args.out:
@@ -124,16 +136,18 @@ def cmd_verify(args) -> int:
                 fh.write(out + "\n")
         print(out)
         return report.exit_code()
-    default_n = "4" if args.family == "unicyclic" else "3..4"
+    opts = {**_SWEEP_DEFAULTS, **{f: getattr(args, f) for f in given}}
+    if opts["n"] is None:
+        opts["n"] = "4" if opts["family"] == "unicyclic" else "3..4"
     spec = CampaignSpec(
-        family=args.family,
-        n_values=_parse_range(default_n if args.n is None else args.n),
-        t_values=_parse_range(args.t),
-        weight_alphabet=_parse_alphabet(args.weights),
-        seed=args.seed,
+        family=opts["family"],
+        n_values=_parse_range(opts["n"]),
+        t_values=_parse_range(opts["t"]),
+        weight_alphabet=_parse_alphabet(opts["weights"]),
+        seed=opts["seed"],
         field=args.field,
         lattice_cap=args.lattice_cap,
-        workers=args.workers,
+        workers=opts["workers"],
     )
     if args.mode == "campaign":
         report = run_campaign(spec)
@@ -160,8 +174,16 @@ def _add_lattice_cap(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as one ``error:`` line and exit 2, as
+    :func:`main` reports every other rejected input; ``--help`` still exits 0."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edgereg",
         description="Edge ideals of weighted digraphs: exact Betti tables, "
         "regularity, and closed-form verification.",
@@ -200,13 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verification harness")
     p.add_argument("mode", choices=("examples", "campaign", "structure"))
-    p.add_argument("--family", choices=("cycle", "forest", "unicyclic", "raw-ideal"), default="cycle")
+    # the sweep flags default to None so that verify examples can refuse them
+    p.add_argument("--family", choices=("cycle", "forest", "unicyclic", "raw-ideal"),
+                   help="instance family (default cycle)")
     p.add_argument("--n", help="n values, e.g. 3..5 or 3,5 (default 4 for unicyclic, else 3..4)")
-    p.add_argument("--t", default="1..2")
-    p.add_argument("--weights", default="2,3")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--t", help="t values (default 1..2)")
+    p.add_argument("--weights", help="weight alphabet (default 2,3)")
+    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p.add_argument("--field", choices=("Q", "GF2"), default="Q")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, help="worker processes (default 1)")
     _add_lattice_cap(p)
     p.add_argument("--out")
     p.add_argument("--csv", help="also write the campaign records as CSV (campaign only)")
@@ -216,9 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (EdgeRegError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

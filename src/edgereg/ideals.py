@@ -120,9 +120,7 @@ class MonomialIdeal:
         if self.is_zero:
             return "(0)"
         names = self._vars.names
-        return "(" + ", ".join(
-            _text(names, [(i, e) for i, e in enumerate(v) if e]) for v in self._exps
-        ) + ")"
+        return "(" + ", ".join(_text(names, v) for v in self._exps) + ")"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"

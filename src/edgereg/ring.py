@@ -1,9 +1,9 @@
 """Variable sets and exact monomial arithmetic.
 
-Monomials are sparse nonnegative exponent vectors over a fixed, ordered
-variable set.  The canonical text form joins factors with ``*`` and powers
-with ``^`` in variable-set order, e.g. ``x1^2*x3``; the unit monomial is
-``1``.  That form round-trips through :func:`parse_monomial`.
+Monomials are dense tuples of nonnegative exponents, one per variable of a
+fixed, ordered variable set.  The canonical text form joins factors with
+``*`` and powers with ``^`` in variable-set order, e.g. ``x1^2*x3``; the
+unit monomial is ``1``.  That form round-trips through :func:`parse_monomial`.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import struct
 from itertools import chain
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 from .errors import DegreeCapError, ParseError, VariableSetMismatchError
@@ -109,9 +110,9 @@ class _Packing:
         return b ^ ((g ^ b) & (c - (c >> self.shift)))
 
 
-def _text(names: tuple[str, ...], factors: Iterable[tuple[int, int]]) -> str:
-    """Canonical text of the monomial with the given (index, exponent > 0) factors."""
-    return "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in factors) or "1"
+def _text(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
+    """Canonical text of the monomial with the given dense exponent tuple."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e) or "1"
 
 
 def _check_same_ring(*operands) -> VariableSet:
@@ -126,39 +127,50 @@ def _check_same_ring(*operands) -> VariableSet:
     return variables
 
 
-class Monomial:
-    """A monomial stored as a sparse map variable index -> positive exponent.
+def _check_exponents(n: int, items: Iterable[tuple[int, int]]) -> None:
+    """Raise on the first bad (index, exponent) pair over n variables."""
+    for idx, e in items:
+        if type(e) is not int:  # bool is an int subclass and is refused too
+            raise TypeError(f"exponent for index {idx} is not an integer: {e!r}")
+        if e < 0:
+            raise ValueError(f"negative exponent {e} at index {idx}")
+        if e and not 0 <= idx < n:
+            raise IndexError(f"variable index {idx} out of range")
 
-    Immutable; the empty map is the unit monomial 1.
+
+class Monomial:
+    """A monomial stored as its dense exponent tuple over the variable set.
+
+    Immutable; the all-zero tuple is the unit monomial 1.
     """
 
     __slots__ = ("_vars", "_exps", "_degree", "_hash")
 
     def __init__(self, variables: VariableSet, exponents: Mapping[int, int]):
-        exps = {}
-        for idx, e in exponents.items():
-            if not isinstance(e, int):
-                raise TypeError(f"exponent for index {idx} is not an integer: {e!r}")
-            if e < 0:
-                raise ValueError(f"negative exponent {e} at index {idx}")
-            if e == 0:
-                continue
-            if not 0 <= idx < len(variables):
-                raise IndexError(f"variable index {idx} out of range")
-            exps[idx] = e
-        degree = sum(exps.values())
+        items = exponents.items()
+        _check_exponents(len(variables), items)
+        exps = [0] * len(variables)
+        for idx, e in items:
+            if e:
+                exps[idx] = e
+        self._set(variables, tuple(exps))
+
+    def _set(self, variables: VariableSet, exps: tuple[int, ...]) -> "Monomial":
+        degree = sum(exps)
         if degree > DEGREE_CAP:
-            raise DegreeCapError(
-                f"monomial degree {degree} exceeds cap {DEGREE_CAP}"
-            )
-        self._vars = variables
-        self._exps = exps
-        self._degree = degree
-        self._hash = hash((variables, tuple(sorted(exps.items()))))
+            raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
+        self._vars, self._exps, self._degree = variables, exps, degree
+        self._hash = hash((variables, exps))
+        return self
+
+    @classmethod
+    def _new(cls, variables: VariableSet, exps: tuple[int, ...]) -> "Monomial":
+        """A monomial from a tuple of nonnegative ints, one per variable."""
+        return object.__new__(cls)._set(variables, exps)
 
     @classmethod
     def unit(cls, variables: VariableSet) -> "Monomial":
-        return cls(variables, {})
+        return cls._new(variables, (0,) * len(variables))
 
     @classmethod
     def variable(cls, variables: VariableSet, name: str, power: int = 1) -> "Monomial":
@@ -166,7 +178,12 @@ class Monomial:
 
     @classmethod
     def from_dense(cls, variables: VariableSet, exps: Iterable[int]) -> "Monomial":
-        return cls(variables, {i: e for i, e in enumerate(exps) if e})
+        exps = tuple(exps)
+        n = len(variables)
+        if len(exps) != n or {*map(type, exps)} - {int} or min(exps, default=0) < 0:
+            _check_exponents(n, enumerate(exps))
+            raise ValueError(f"{len(exps)} exponents for {n} variables")
+        return cls._new(variables, exps)
 
     @property
     def variables(self) -> VariableSet:
@@ -174,77 +191,59 @@ class Monomial:
 
     @property
     def exponents(self) -> dict[int, int]:
-        return dict(self._exps)
+        return {i: e for i, e in enumerate(self._exps) if e}
 
     @property
     def degree(self) -> int:
         return self._degree
 
     def exponent(self, idx: int) -> int:
-        return self._exps.get(idx, 0)
+        return self._exps[idx] if 0 <= idx < len(self._exps) else 0
 
     def dense(self) -> tuple[int, ...]:
-        return tuple(self._exps.get(i, 0) for i in range(len(self._vars)))
+        return self._exps
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(self._exps)
+        return frozenset(i for i, e in enumerate(self._exps) if e)
 
     @property
     def is_unit(self) -> bool:
-        return not self._exps
+        return not self._degree
 
     @property
     def is_squarefree(self) -> bool:
-        return all(e == 1 for e in self._exps.values())
+        return max(self._exps, default=0) <= 1
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_same_ring(self, other)
-        out = dict(self._exps)
-        for idx, e in other._exps.items():
-            out[idx] = out.get(idx, 0) + e
-        return Monomial(self._vars, out)
+        return Monomial._new(self._vars, tuple(map(add, self._exps, other._exps)))
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
             raise ValueError("negative power")
-        return Monomial(self._vars, {i: e * k for i, e in self._exps.items()})
+        return Monomial.from_dense(self._vars, [e * k for e in self._exps])
 
     def divides(self, other: "Monomial") -> bool:
         _check_same_ring(self, other)
-        return all(other._exps.get(i, 0) >= e for i, e in self._exps.items())
+        return all(map(le, self._exps, other._exps))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        _check_same_ring(self, other)
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        out = dict(self._exps)
-        for idx, e in other._exps.items():
-            rem = out[idx] - e
-            if rem:
-                out[idx] = rem
-            else:
-                del out[idx]
-        return Monomial(self._vars, out)
+        return Monomial._new(self._vars, tuple(map(sub, self._exps, other._exps)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         _check_same_ring(self, other)
-        out = dict(self._exps)
-        for idx, e in other._exps.items():
-            if e > out.get(idx, 0):
-                out[idx] = e
-        return Monomial(self._vars, out)
+        return Monomial._new(self._vars, tuple(map(max, self._exps, other._exps)))
 
     def gcd(self, other: "Monomial") -> "Monomial":
         _check_same_ring(self, other)
-        return Monomial(
-            self._vars,
-            {i: min(e, other._exps[i]) for i, e in self._exps.items() if i in other._exps},
-        )
+        return Monomial._new(self._vars, tuple(map(min, self._exps, other._exps)))
 
     def grlex_key(self) -> tuple:
         """Sort key: graded, then lexicographic in variable-set order."""
-        return (self._degree, self.dense())
+        return (self._degree, self._exps)
 
     def __eq__(self, other) -> bool:
         return (
@@ -257,7 +256,7 @@ class Monomial:
         return self._hash
 
     def __str__(self) -> str:
-        return _text(self._vars.names, sorted(self._exps.items()))
+        return _text(self._vars.names, self._exps)
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
@@ -279,7 +278,7 @@ def parse_monomial(text: str, variables: VariableSet) -> Monomial:
         raise ParseError("empty monomial text")
     if text == "1":
         return Monomial.unit(variables)
-    exps: dict[int, int] = {}
+    exps = [0] * len(variables)
     for factor in text.split("*"):
         factor = factor.strip()
         if not factor:
@@ -295,6 +294,5 @@ def parse_monomial(text: str, variables: VariableSet) -> Monomial:
                 raise ParseError(f"exponent must be positive in {factor!r}")
         else:
             name, e = factor, 1
-        idx = variables.index(name)
-        exps[idx] = exps.get(idx, 0) + e
-    return Monomial(variables, exps)
+        exps[variables.index(name)] += e
+    return Monomial.from_dense(variables, exps)

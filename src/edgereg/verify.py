@@ -19,7 +19,7 @@ from functools import partial
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator
 
-from .betti import DEFAULT_LATTICE_CAP, betti_table, regularity
+from .betti import DEFAULT_LATTICE_CAP, _check_cap, betti_table, regularity
 from .constructions import (
     betti_split_power,
     build_colon_structure,
@@ -132,6 +132,7 @@ class CampaignSpec:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.sample_size < 1:
             raise ValueError(f"sample_size must be at least 1, got {self.sample_size}")
+        _check_cap(self.lattice_cap)
         least = _MIN_VERTICES.get(self.family, 0)
         if min(self.n_values) < least:
             raise ValueError(f"{self.family} members need n >= {least}, got {self.n_values}")
@@ -468,9 +469,10 @@ class ReferenceReport(_Report):
     kind = "reference-examples"
 
     def exit_code(self) -> int:
-        if any(r.skipped for r in self.records):
-            return 3
-        return 0 if all(r.ok for r in self.records) else 1
+        """1 on a failure, else 3 on a capped skip, else 0."""
+        if any(not (r.ok or r.skipped) for r in self.records):
+            return 1
+        return 3 if any(r.skipped for r in self.records) else 0
 
 
 def run_reference_examples(

@@ -13,7 +13,6 @@ from edgereg.betti import (
     _betti_multidegrees,
     _divisor_masks,
     _mv_candidates,
-    _regularity_search,
     _slice_betti,
     _slice_covers,
     betti_table,
@@ -80,6 +79,15 @@ class TestLcmLattice:
         with pytest.raises(ResourceCapError) as err:
             lcm_lattice(ideal, cap=3)
         assert "3" in str(err.value)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("text", ["(x1)", "(x1*x2^2, x2*x3^2, x3*x1^2)"])
+def test_cap_below_one_is_rejected(text, cap):
+    ideal = I(text)
+    for entry in (betti_table, regularity_witness, regularity):
+        with pytest.raises(ValueError, match=f"lattice.cap.*{cap}"):
+            entry(ideal, "Q", cap)
 
 
 @given(ideals(n_vars=3, max_gens=4))
@@ -203,10 +211,8 @@ def test_regularity_search_slices_only_tree_candidates(monkeypatch):
         slices.append(b)
         return original(le, b, field)
 
-    _regularity_search.cache_clear()
     monkeypatch.setattr(betti_module, "_slice_betti", recording)
     assert regularity(ideal) == table.regularity()
-    _regularity_search.cache_clear()
     candidates = _mv_candidates(tuple(g.dense() for g in ideal.generators), DEFAULT_LATTICE_CAP)
     assert len(slices) == len(set(slices))
     assert set(slices) < set(candidates)

@@ -274,6 +274,30 @@ class TestBadInput:
             ("verify", "structure", "--family", "unicyclic", "--t", "1"),
             ("verify", "structure", "--n", "3", "--t", "1", "--csv", "{csv}"),
             ("verify", "examples", "--csv", "{csv}"),
+            ("verify", "examples", "--family", "unicyclic", "--n", "9", "--workers", "3",
+             "--seed", "5"),
+            ("verify", "examples", "--family", "cycle"),
+            ("verify", "examples", "--n", "3"),
+            ("verify", "examples", "--t", "1"),
+            ("verify", "examples", "--weights", "2"),
+            ("verify", "examples", "--seed", "0"),
+            ("verify", "examples", "--workers", "1"),
+            ("verify", "campaign", "--n", "3", "--t", "1", "--csv", ""),
+            ("verify", "campaign", "--n", "3", "--t", "1", "--out", ""),
+            ("verify", "examples", "--out", ""),
+            ("reg", "--ideal", "(x1)", "--lattice-cap", "-1"),
+            ("reg", "--ideal", "(x1)", "--lattice-cap", "0"),
+            ("reg", "--ideal", "(x1*x2^2, x2*x3^2, x3*x1^2)", "--lattice-cap", "0"),
+            ("betti", "--ideal", "(x1)", "--lattice-cap", "0"),
+            ("verify", "campaign", "--n", "3", "--t", "1", "--lattice-cap", "0"),
+            ("verify", "structure", "--n", "3", "--t", "1", "--lattice-cap", "-1"),
+            ("verify", "examples", "--lattice-cap", "0"),
+            ("reg", "--field", "X"),
+            ("formula", "--graph", "{graph}", "--t", "abc"),
+            ("verify", "bogus"),
+            (),
+            ("reg", "--lattice-cap", "many"),
+            ("verify", "campaign", "--unknown-flag"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):
@@ -297,3 +321,10 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not csv.exists()
+
+    @pytest.mark.parametrize("argv", [("--help",), ("reg", "--help"), ("verify", "--help")])
+    def test_help_still_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

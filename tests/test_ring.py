@@ -82,6 +82,60 @@ class TestMonomial:
                 parse_monomial(bad, vs)
 
 
+class TestConstructorChecks:
+    """Both constructors refuse the same bad exponents; from_dense also
+    refuses a tuple of the wrong length."""
+
+    VS = variable_set(2)
+
+    @pytest.mark.parametrize("exponents, error", [
+        ({0: 1.0}, TypeError),
+        ({0: "2"}, TypeError),
+        ({0: True}, TypeError),
+        ({1: False}, TypeError),
+        ({0: -1}, ValueError),
+        ({2: 1}, IndexError),
+        ({-1: 1}, IndexError),
+        ({0: ring.DEGREE_CAP, 1: 1}, DegreeCapError),
+    ])
+    def test_mapping(self, exponents, error):
+        with pytest.raises(error):
+            Monomial(self.VS, exponents)
+
+    @pytest.mark.parametrize("exps, error", [
+        ((1.0, 0), TypeError),
+        ((0, "2"), TypeError),
+        ((True, 0), TypeError),
+        ((0, False), TypeError),
+        ((-1, 0), ValueError),
+        ((0, 0, 1), IndexError),
+        ((0, 0, 0), ValueError),
+        ((1,), ValueError),
+        ((), ValueError),
+        ((ring.DEGREE_CAP, 1), DegreeCapError),
+    ])
+    def test_dense(self, exps, error):
+        with pytest.raises(error):
+            Monomial.from_dense(self.VS, exps)
+
+    def test_zero_exponent_out_of_range_is_ignored(self):
+        assert Monomial(self.VS, {5: 0}) == Monomial.unit(self.VS)
+
+    def test_dense_is_the_stored_tuple(self):
+        m = Monomial.from_dense(self.VS, [2, 0])
+        assert m.dense() == (2, 0) and m.dense() is m.dense()
+        assert m.exponents == {0: 2} and m.support == frozenset({0})
+        assert m.exponent(0) == 2 and m.exponent(1) == 0 and m.exponent(7) == 0
+
+
+@given(monomials())
+def test_both_constructors_agree(m):
+    sparse = Monomial(m.variables, m.exponents)
+    dense = Monomial.from_dense(m.variables, m.dense())
+    assert sparse == dense == m
+    assert hash(sparse) == hash(dense) == hash(m)
+
+
 @given(monomials())
 def test_text_round_trip(m):
     assert parse_monomial(str(m), m.variables) == m

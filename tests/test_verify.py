@@ -13,6 +13,8 @@ from edgereg import verify
 from edgereg.verify import (
     CampaignReport,
     CampaignSpec,
+    ReferenceRecord,
+    ReferenceReport,
     VerificationRecord,
     enumerate_instances,
     pendant_path_graph,
@@ -157,6 +159,15 @@ class TestSkipsAndExitCodes:
         assert report.exit_code() == 1
         assert report.summary()["mismatches"] == 1
 
+    def test_fabricated_reference_failure_dominates_exit_code(self):
+        common = dict(family="Other", t=2, expected_engine=14, expected_formula=13, elapsed_s=0.0)
+        bad = ReferenceRecord(name="synthetic", engine_value=15, formula_value=13, **common)
+        skip = ReferenceRecord(name="synthetic-skip", skipped="resource cap", **common)
+        good = ReferenceRecord(name="synthetic-ok", ok=True, engine_value=14, **common)
+        assert ReferenceReport(records=[bad, skip], field="Q").exit_code() == 1
+        assert ReferenceReport(records=[skip, good], field="Q").exit_code() == 3
+        assert ReferenceReport(records=[good], field="Q").exit_code() == 0
+
 
 class TestCsv:
     def test_round_trips_through_csv_reader(self):
@@ -225,6 +236,11 @@ class TestSpecValidation:
     def test_sample_size_below_one(self, family):
         with pytest.raises(ValueError, match="sample_size"):
             CampaignSpec(family=family, n_values=(5,), t_values=(1,), sample_size=0)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_lattice_cap_below_one(self, cap):
+        with pytest.raises(ValueError, match=f"lattice.cap.*{cap}"):
+            small_cycle_spec(lattice_cap=cap)
 
     def test_empty_weight_alphabet(self):
         with pytest.raises(ValueError, match="weight_alphabet"):
