@@ -23,8 +23,8 @@ its homology is computed through the covered-complex pipeline in
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ResourceCapError, ZeroIdealError
 from .homology import FIELD_Q, _check_field, covered_homology
@@ -54,7 +54,7 @@ class LcmLattice:
         return len(self.multidegrees)
 
 
-def _lattice_tuples(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
+def _lattice_tuples(gens: Sequence[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
     """All lcms of nonempty subsets of gens, sorted by (degree, exponents)."""
     pk = _Packing(len(gens[0]), gens)
     lattice: set[int] = set()
@@ -77,7 +77,6 @@ def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLatt
     return LcmLattice(tuple(_lattice_tuples(ideal._exps, cap)))
 
 
-@lru_cache(maxsize=32)  # a regularity over a second field reuses the tree
 def _mv_candidates(
     gens: tuple[tuple[int, ...], ...], cap: int
 ) -> dict[tuple[int, ...], int]:
@@ -96,7 +95,7 @@ def _mv_candidates(
     walked level by level, and a node whose generators were met before is
     skipped: its subtree emits the same multidegrees as the first copy's,
     none shallower.  More than ``cap`` distinct nodes raise
-    ResourceCapError.  The result is memoized and shared; do not mutate it.
+    ResourceCapError.
     """
     pk = _Packing(len(gens[0]), gens)
     guards, shift = pk.guards, pk.shift
@@ -218,7 +217,7 @@ class BettiTable:
         return f"BettiTable(field={self.field}, nonzero={len(self.nonzero())})"
 
 
-def _divisor_masks(gens: list[tuple[int, ...]]) -> list[list[int]]:
+def _divisor_masks(gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """``le[j][e]``: bitmask of the generators g with ``g_j <= e``.
 
     Bit k stands for ``gens[k]``.  Row j runs to one past the largest
@@ -261,22 +260,6 @@ def _slice_betti(le: list[list[int]], b: tuple[int, ...], field: str) -> dict[in
     return {d + 1: r for d, r in hom.items() if r}
 
 
-@lru_cache(maxsize=4096)
-def _betti_multidegrees(
-    gens: tuple[tuple[int, ...], ...],
-    field: str,
-    lattice_cap: int,
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    gen_list = list(gens)
-    le = _divisor_masks(gen_list)
-    out = []
-    for b in _lattice_tuples(gen_list, lattice_cap):
-        ranks = _slice_betti(le, b, field)
-        if ranks:
-            out.append((b, tuple(sorted(ranks.items()))))
-    return tuple(out)
-
-
 def betti_table(
     ideal: MonomialIdeal,
     field: str = FIELD_Q,
@@ -290,30 +273,38 @@ def betti_table(
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
     _check_field(field)
     _check_cap(lattice_cap)
-    per_b = _betti_multidegrees(ideal._exps, field, lattice_cap)
+    le = _divisor_masks(ideal._exps)
     multigraded: dict[tuple[int, Monomial], int] = {}
-    for b, ranks in per_b:
-        bm = Monomial.from_dense(ideal.variables, b)
-        for i, r in ranks:
-            multigraded[(i, bm)] = r
+    for b in _lattice_tuples(ideal._exps, lattice_cap):
+        ranks = _slice_betti(le, b, field)
+        if ranks:
+            bm = Monomial.from_dense(ideal.variables, b)
+            for i in sorted(ranks):
+                multigraded[(i, bm)] = ranks[i]
     return BettiTable(ideal.variables, field, multigraded)
 
 
-def _regularity_search(
-    gens: tuple[tuple[int, ...], ...],
-    field: str,
-    lattice_cap: int,
+def regularity_witness(
+    ideal: MonomialIdeal,
+    field: str = FIELD_Q,
+    lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> tuple[int, tuple[int, int]]:
-    """(regularity, the lexicographically least (i, j) achieving it).
+    """(regularity, the lexicographically least (i, j) achieving it),
+    without a table; ``lattice_cap`` caps the Mayer-Vietoris tree's nodes.
 
     beta_{i,b} != 0 implies j - i <= |b| - d_min(b) with j = |b|, so the
     candidates are visited in decreasing order of that bound, and the
     search stops once the bound falls strictly below the best j - i found.
     Every pair achieving the regularity has a bound at least that high, so
-    all of them are visited and the witness is the one a full table gives.
+    all of them are visited and the witness is the one a full table gives
+    (``BettiTable.regularity_witness``).
     """
-    le = _divisor_masks(list(gens))
-    candidates = _mv_candidates(gens, lattice_cap)
+    if ideal.is_zero:
+        raise ZeroIdealError("regularity of the zero ideal is undefined")
+    _check_field(field)
+    _check_cap(lattice_cap)
+    le = _divisor_masks(ideal._exps)
+    candidates = _mv_candidates(ideal._exps, lattice_cap)
     best = (-1, 0)  # (j - i, -i) of the best pair so far
     for bound, b in sorted(((sum(b) - d, b) for b, d in candidates.items()), reverse=True):
         if bound < best[0]:
@@ -323,22 +314,6 @@ def _regularity_search(
             best = max(best, (j - i, -i))
     reg, least_i = best[0], -best[1]
     return reg, (least_i, least_i + reg)
-
-
-def regularity_witness(
-    ideal: MonomialIdeal,
-    field: str = FIELD_Q,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> tuple[int, tuple[int, int]]:
-    """The regularity and ``BettiTable.regularity_witness``, without a table.
-
-    ``lattice_cap`` caps the nodes of the Mayer-Vietoris tree.
-    """
-    if ideal.is_zero:
-        raise ZeroIdealError("regularity of the zero ideal is undefined")
-    _check_field(field)
-    _check_cap(lattice_cap)
-    return _regularity_search(ideal._exps, field, lattice_cap)
 
 
 def regularity(

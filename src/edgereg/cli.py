@@ -56,17 +56,23 @@ def _ideal_from_args(args) -> MonomialIdeal:
     return power(ideal, args.power)
 
 
-def _parse_range(text: str) -> tuple[int, ...]:
+def _parse_range(flag: str, text: str) -> tuple[int, ...]:
     """Accept '3..5' or '3,4,5' or '3'."""
     text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise ValueError(f"--{flag} takes integers as A..B, A,B,... or A, got {text!r}") from None
 
 
 def _parse_alphabet(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    try:
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise ValueError(f"--weights takes integers as A,B,..., got {text!r}") from None
 
 
 def cmd_ideal(args) -> int:
@@ -141,8 +147,8 @@ def cmd_verify(args) -> int:
         opts["n"] = "4" if opts["family"] == "unicyclic" else "3..4"
     spec = CampaignSpec(
         family=opts["family"],
-        n_values=_parse_range(opts["n"]),
-        t_values=_parse_range(opts["t"]),
+        n_values=_parse_range("n", opts["n"]),
+        t_values=_parse_range("t", opts["t"]),
         weight_alphabet=_parse_alphabet(opts["weights"]),
         seed=opts["seed"],
         field=args.field,

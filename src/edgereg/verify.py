@@ -124,6 +124,12 @@ class CampaignSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name, flag in (("n_values", "n"), ("t_values", "t"), ("weight_alphabet", "weights")):
+            values = getattr(self, name)
+            if {*map(type, values)} - {int}:
+                raise ValueError(f"--{flag} ({name}=) must hold plain ints, got {values!r}")
+            if len(set(values)) < len(values):
+                raise ValueError(f"--{flag} ({name}=) repeats an entry: {values!r}")
         if not self.n_values or not self.t_values:
             raise ValueError("n_values and t_values must be nonempty")
         if not self.weight_alphabet:
@@ -198,13 +204,19 @@ class CampaignReport(_Report):
 
 
 def _weight_tuples(spec: CampaignSpec, n_free: int, label: str) -> list[tuple[int, ...]]:
-    """All weight tuples over the alphabet, or a seeded sorted sample."""
-    everything = sorted(iter_product(spec.weight_alphabet, repeat=n_free))
-    if len(everything) <= spec.exhaustive_cap:
-        return everything
+    """All weight tuples over the alphabet in lexicographic order, or a
+    seeded sorted sample; the k-th tuple is k in base |alphabet| over the
+    sorted letters, so a sample builds only the tuples it picks."""
+    letters = sorted(spec.weight_alphabet)
+    base = len(letters)
+    count = base**n_free
+    if count <= spec.exhaustive_cap:
+        return list(iter_product(letters, repeat=n_free))
     rng = random.Random(f"{spec.seed}:{spec.family}:{label}")
-    picked = rng.sample(range(len(everything)), min(spec.sample_size, len(everything)))
-    return [everything[i] for i in sorted(picked)]
+    return [
+        tuple(letters[k // base**p % base] for p in reversed(range(n_free)))
+        for k in sorted(rng.sample(range(count), min(spec.sample_size, count)))
+    ]
 
 
 def _canonical_rooted_trees(n: int) -> list[tuple[tuple[int, int], ...]]:

@@ -298,6 +298,10 @@ class TestBadInput:
             (),
             ("reg", "--lattice-cap", "many"),
             ("verify", "campaign", "--unknown-flag"),
+            ("verify", "campaign", "--weights", "2,2", "--n", "3", "--t", "1"),
+            ("verify", "campaign", "--weights", "2", "--n", "3,3", "--t", "1,1"),
+            ("verify", "campaign", "--n", "3", "--t", "1,2,1"),
+            ("verify", "structure", "--n", "3,4,3", "--t", "1"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):
@@ -321,6 +325,16 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not csv.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "3..a"), ("--n", "x"), ("--t", "1.."), ("--t", "1..2..3"),
+        ("--weights", "2,x"), ("--weights", "2..3"),
+    ])
+    def test_unreadable_integers_name_their_flag(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", "campaign", flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} takes integers as ") and err.count("\n") == 1
+        assert repr(value) in err
 
     @pytest.mark.parametrize("argv", [("--help",), ("reg", "--help"), ("verify", "--help")])
     def test_help_still_exits_zero(self, capsys, argv):

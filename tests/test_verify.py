@@ -5,6 +5,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -257,9 +259,58 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="n >= 4"):
             CampaignSpec(family="unicyclic", n_values=(3, 4), t_values=(1,))
 
+    @pytest.mark.parametrize("field, values", [
+        ("n_values", (3, 3)), ("n_values", (3, 4, 3)), ("t_values", (1, 1)),
+        ("t_values", (2, 1, 2)), ("weight_alphabet", (2, 2)), ("weight_alphabet", (3, 2, 3)),
+    ])
+    def test_repeated_entries(self, field, values):
+        with pytest.raises(ValueError, match=rf"\({field}=\) repeats"):
+            small_cycle_spec(**{field: values})
+
+    @pytest.mark.parametrize("field, values", [
+        ("n_values", (3.0,)), ("n_values", (3, "4")), ("t_values", (True,)),
+        ("t_values", (1, False)), ("weight_alphabet", (2, True)), ("weight_alphabet", (2.5,)),
+    ])
+    def test_entries_that_are_not_plain_ints(self, field, values):
+        with pytest.raises(ValueError, match=rf"\({field}=\) must hold plain ints"):
+            small_cycle_spec(**{field: values})
+
     def test_graph_builder_validates_weights(self):
         with pytest.raises(ValueError):
             pendant_path_graph(1, [2, 2, 2])
+
+
+def _sampled_from_the_full_list(spec, n_free, label):
+    """The weight tuples as a sample of the fully built sorted list."""
+    everything = sorted(product(spec.weight_alphabet, repeat=n_free))
+    if len(everything) <= spec.exhaustive_cap:
+        return everything
+    rng = random.Random(f"{spec.seed}:{spec.family}:{label}")
+    picked = rng.sample(range(len(everything)), min(spec.sample_size, len(everything)))
+    return [everything[i] for i in sorted(picked)]
+
+
+class TestWeightTuples:
+    @pytest.mark.parametrize("alphabet", [(2,), (2, 3), (3, 1, 2), (5, 1, 4, 2)])
+    @pytest.mark.parametrize("seed", [0, 7, 19])
+    @pytest.mark.parametrize("cap, size", [(16, 10), (1, 3), (4, 100)])
+    def test_equal_to_a_sample_of_the_full_list(self, alphabet, seed, cap, size):
+        spec = small_cycle_spec(
+            weight_alphabet=alphabet, seed=seed, exhaustive_cap=cap, sample_size=size,
+        )
+        for n_free in range(6):
+            for label in ("c0n3", "u1n5", "f0n4s2"):
+                assert verify._weight_tuples(spec, n_free, label) == _sampled_from_the_full_list(
+                    spec, n_free, label
+                )
+
+    def test_a_sample_builds_only_the_tuples_it_picks(self):
+        # 2**40 tuples could not all be built; the sample needs only its own
+        spec = small_cycle_spec(weight_alphabet=(3, 2))
+        tuples = verify._weight_tuples(spec, 40, "c0n40")
+        assert len(tuples) == spec.sample_size
+        assert tuples == sorted(set(tuples))
+        assert all(len(w) == 40 and set(w) <= {2, 3} for w in tuples)
 
 
 def _run_sweeps_module():
