@@ -9,9 +9,10 @@ is max{j - i : beta_{i,j} != 0}.
 
 The regularity needs no table.  Only the multidegrees that the
 Mayer-Vietoris tree of I emits can carry a Betti number (Saenz-de-Cabezon,
-AAECC 20, 2009), and the tree bounds j - i at each of them, so the
-regularity search visits emitted multidegrees in decreasing order of that
-bound and stops once it falls below the best j - i found.
+AAECC 20, 2009), and the tree bounds j - i at each of them.  The search
+walks the tree best first, building a subtree only when its bound is the
+highest left, and slices exactly the emitted multidegrees whose bound
+reaches the regularity.
 
 The slice at b is the complex of squarefree vectors tau inside supp(b)
 with x^b / x^tau still in I.  It is covered by the full simplices
@@ -35,11 +36,11 @@ DEFAULT_LATTICE_CAP = 200_000
 
 
 def _check_cap(lattice_cap: int) -> None:
-    if lattice_cap < 1:
-        raise ValueError(f"--lattice-cap (lattice_cap=) must be at least 1, got {lattice_cap}")
+    if type(lattice_cap) is not int or lattice_cap < 1:  # bool is refused too
+        raise ValueError(f"--lattice-cap (lattice_cap=) must be an int >= 1, got {lattice_cap!r}")
 
 
-# -- lcm lattice and Mayer-Vietoris tree ------------------------------------
+# -- lcm lattice ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -75,66 +76,6 @@ def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLatt
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm lattice")
     return LcmLattice(tuple(_lattice_tuples(ideal._exps, cap)))
-
-
-def _mv_candidates(
-    gens: tuple[tuple[int, ...], ...], cap: int
-) -> dict[tuple[int, ...], int]:
-    """{b: d_min(b)} over the multidegrees the Mayer-Vietoris tree emits.
-
-    A node at depth d with generators m_1..m_r emits (d, m_k) for every k.
-    For k >= 2 it has a child at depth d + 1 on the minimalized
-    ``(lcm(m_i, m_k) : i < k)``, which generates J ∩ (m_k) for
-    J = (m_1..m_{k-1}).  The Mayer-Vietoris sequence of J + (m_k) shows
-    that beta_{i,b} != 0 only if (i, b) is emitted.  So every Betti
-    multidegree is a key, and beta_{i,b} != 0 implies i >= d_min(b), the
-    least depth that emits b.
-
-    The root keeps the ideal's generator order and every other node
-    descending lex order, which the packed ints give for free.  Nodes are
-    walked level by level, and a node whose generators were met before is
-    skipped: its subtree emits the same multidegrees as the first copy's,
-    none shallower.  More than ``cap`` distinct nodes raise
-    ResourceCapError.
-    """
-    pk = _Packing(len(gens[0]), gens)
-    guards, shift = pk.guards, pk.shift
-    root = tuple(map(pk.pack, gens))
-    depth: dict[int, int] = {}
-    seen = {root}
-    level = [root]
-    d = 0
-    while level:
-        children = []
-        for node in level:
-            for k, m in enumerate(node):
-                depth.setdefault(m, d)
-                if not k:
-                    continue
-                joins = set()
-                for a in node[:k]:  # the packed lcm, inlined
-                    c = guards & ~((a | guards) - m)
-                    joins.add(a ^ ((m ^ a) & (c - (c >> shift))))
-                kept: list[int] = []
-                for b in sorted(joins):  # divisors first
-                    bg = b | guards
-                    for g in kept:
-                        if (bg - g) & guards == guards:
-                            break
-                    else:
-                        kept.append(b)
-                child = tuple(reversed(kept))
-                if child not in seen:
-                    seen.add(child)
-                    children.append(child)
-                    if len(seen) > cap:
-                        raise ResourceCapError(
-                            f"Mayer-Vietoris tree exceeds the node cap {cap}; "
-                            f"raise it with --lattice-cap (lattice_cap=) to proceed"
-                        )
-        level = children
-        d += 1
-    return {pk.unpack(b): e for b, e in depth.items()}
 
 
 # -- Betti tables ----------------------------------------------------------
@@ -290,30 +231,89 @@ def regularity_witness(
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> tuple[int, tuple[int, int]]:
     """(regularity, the lexicographically least (i, j) achieving it),
-    without a table; ``lattice_cap`` caps the Mayer-Vietoris tree's nodes.
+    without a table; ``lattice_cap`` caps the distinct tree nodes built.
 
-    beta_{i,b} != 0 implies j - i <= |b| - d_min(b) with j = |b|, so the
-    candidates are visited in decreasing order of that bound, and the
-    search stops once the bound falls strictly below the best j - i found.
-    Every pair achieving the regularity has a bound at least that high, so
-    all of them are visited and the witness is the one a full table gives
-    (``BettiTable.regularity_witness``).
+    A node at depth d with generators m_1..m_r emits (d, m_k) for every k;
+    for k >= 2 its child at depth d + 1 is the minimalized
+    ``(lcm(m_i, m_k) : i < k)``, which generates J ∩ (m_k) for
+    J = (m_1..m_{k-1}).  By the Mayer-Vietoris sequence of J + (m_k),
+    beta_{i,b} != 0 only if (i, b) is emitted, so j - i <= |b| - d_min(b)
+    with j = |b| and d_min(b) the least depth emitting b.
+
+    The walk is best first over buckets of that bound.  An emission (d, m)
+    waits at |m| - d, and the child at k waits unbuilt at
+    |lcm(m_1..m_k)| - (d + 1), since every generator below it divides that
+    prefix lcm.  Both are at most the bound of the item that pushes them,
+    so the buckets drain from the root's down, and the walk stops at the
+    first bucket below the best j - i found.  Minimalizing can leave a
+    child's lcm below its prefix lcm, so a deeper copy of a node may be
+    built first; a node met again shallower is built again there.  So the
+    slices are exactly the b with |b| - d_min(b) >= reg, and the witness is
+    the one a full table gives (``BettiTable.regularity_witness``).
     """
     if ideal.is_zero:
         raise ZeroIdealError("regularity of the zero ideal is undefined")
     _check_field(field)
     _check_cap(lattice_cap)
-    le = _divisor_masks(ideal._exps)
-    candidates = _mv_candidates(ideal._exps, lattice_cap)
+    gens = ideal._exps
+    le = _divisor_masks(gens)
+    pk = _Packing(len(gens[0]), gens)
+    guards, shift, unpack = pk.guards, pk.shift, pk.unpack
+    # buckets[bound]: packed emissions m, and (child depth, parent, k) of unbuilt children
+    buckets: list[list] = [[] for _ in range(sum(map(max, zip(*gens))) + 1)]
+    seen: dict[tuple[int, ...], int] = {}  # node: least depth built
+    sliced: set[int] = set()
+
+    def build(d: int, node: tuple[int, ...]) -> None:
+        seen[node] = d
+        if len(seen) > lattice_cap:
+            raise ResourceCapError(f"Mayer-Vietoris tree exceeds the node cap {lattice_cap}; "
+                                   f"raise it with --lattice-cap (lattice_cap=) to proceed")
+        prefix = 0
+        for k, m in enumerate(node):
+            c = guards & ~((prefix | guards) - m)  # the packed lcm, inlined
+            prefix ^= (m ^ prefix) & (c - (c >> shift))
+            if m not in sliced:
+                bound = sum(unpack(m)) - d
+                assert bound >= 0, "each tree level raises the degree"
+                buckets[bound].append(m)
+            if k:
+                bound = sum(unpack(prefix)) - d - 1
+                assert bound >= 0, "each tree level raises the degree"
+                buckets[bound].append((d + 1, node, k))
+
+    build(0, tuple(map(pk.pack, gens)))  # the root keeps the ideal's generator order
     best = (-1, 0)  # (j - i, -i) of the best pair so far
-    for bound, b in sorted(((sum(b) - d, b) for b, d in candidates.items()), reverse=True):
+    for bound in reversed(range(len(buckets))):
         if bound < best[0]:
             break
-        j = sum(b)
-        for i in _slice_betti(le, b, field):
-            best = max(best, (j - i, -i))
-    reg, least_i = best[0], -best[1]
-    return reg, (least_i, least_i + reg)
+        while buckets[bound]:
+            item = buckets[bound].pop()
+            if type(item) is int:
+                if item not in sliced:
+                    sliced.add(item)
+                    b = unpack(item)
+                    for i in _slice_betti(le, b, field):
+                        best = max(best, (sum(b) - i, -i))
+                continue
+            d, node, k = item
+            m = node[k]
+            joins = set()
+            for a in node[:k]:  # the packed lcm, inlined
+                c = guards & ~((a | guards) - m)
+                joins.add(a ^ ((m ^ a) & (c - (c >> shift))))
+            kept: list[int] = []
+            for b in sorted(joins):  # divisors first
+                bg = b | guards
+                for g in kept:
+                    if (bg - g) & guards == guards:
+                        break
+                else:
+                    kept.append(b)
+            child = tuple(reversed(kept))  # descending lex order, free on packed ints
+            if seen.get(child, d + 1) > d:
+                build(d, child)
+    return best[0], (-best[1], best[0] - best[1])
 
 
 def regularity(

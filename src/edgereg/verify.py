@@ -124,6 +124,10 @@ class CampaignSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("seed", "exhaustive_cap", "sample_size", "workers", "lattice_cap",
+                     "raw_max_variables", "raw_max_generators", "raw_max_exponent"):
+            if type(getattr(self, name)) is not int:  # bool is refused too
+                raise ValueError(f"{name}= must be a plain int, got {getattr(self, name)!r}")
         for name, flag in (("n_values", "n"), ("t_values", "t"), ("weight_alphabet", "weights")):
             values = getattr(self, name)
             if {*map(type, values)} - {int}:
@@ -222,25 +226,38 @@ def _weight_tuples(spec: CampaignSpec, n_free: int, label: str) -> list[tuple[in
 def _canonical_rooted_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Distinct rooted trees on n vertices as parent-edge tuples.
 
-    Vertex 0 is the root; edges are (parent, child).  Shapes are deduped
-    by a recursive canonical encoding, keeping the first representative
-    in deterministic enumeration order.
+    Vertex 0 is the root; edges are (parent, child) with parent < child.
+    Shapes are keyed by a recursive canonical encoding, sorted by it, and
+    each keeps its lex-first parent tuple.  Parent tuples are walked
+    depth first in lex order, and a prefix is extended only when its shape
+    is new among prefixes of its length: the lex-first tuple of a shape has
+    lex-first prefixes (relabel a smaller prefix of the same shape and keep
+    the rest), so no shape is lost.
     """
-    if n == 1:
-        return [()]
+
+    def encode(parents: tuple[int, ...]) -> tuple:
+        children: list[list[int]] = [[] for _ in range(len(parents) + 1)]
+        for c, p in enumerate(parents, 1):
+            children[p].append(c)
+
+        def code(v: int) -> tuple:
+            return tuple(sorted(code(c) for c in children[v]))
+
+        return code(0)
+
+    met: list[set[tuple]] = [set() for _ in range(n)]
     shapes: dict[tuple, tuple[tuple[int, int], ...]] = {}
-    for parents in iter_product(*[range(i) for i in range(1, n)]):
-        edges = tuple((parents[i - 1], i) for i in range(1, n))
-        children: dict[int, list[int]] = {}
-        for p, c in edges:
-            children.setdefault(p, []).append(c)
-
-        def encode(v: int) -> tuple:
-            return tuple(sorted(encode(c) for c in children.get(v, [])))
-
-        key = encode(0)
-        if key not in shapes:
-            shapes[key] = edges
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        parents = stack.pop()
+        key = encode(parents)
+        if key in met[len(parents)]:
+            continue
+        met[len(parents)].add(key)
+        if len(parents) == n - 1:
+            shapes[key] = tuple((p, c) for c, p in enumerate(parents, 1))
+        else:  # vertex len + 1 takes a parent below it, smallest popped first
+            stack.extend(parents + (p,) for p in reversed(range(len(parents) + 1)))
     return [shapes[k] for k in sorted(shapes)]
 
 

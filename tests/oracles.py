@@ -16,9 +16,9 @@ from typing import Iterable
 
 from edgereg.constructions import build_colon_structure, ordered_power_basis
 from edgereg.digraph import WeightedDigraph, classify
-from edgereg.errors import EdgeRegError, ZeroIdealError
+from edgereg.errors import EdgeRegError, ResourceCapError, ZeroIdealError
 from edgereg.ideals import MonomialIdeal, colon_by_monomial, intersect
-from edgereg.ring import Monomial
+from edgereg.ring import Monomial, _Packing
 
 
 class NotSquarefreeError(EdgeRegError, ValueError):
@@ -154,6 +154,66 @@ def slice_covers_reference(
                 mask |= 1 << idx
         covers.append(mask)
     return len(divisors), covers
+
+
+def mv_candidates_reference(
+    gens: tuple[tuple[int, ...], ...], cap: int
+) -> dict[tuple[int, ...], int]:
+    """{b: d_min(b)} over the multidegrees the Mayer-Vietoris tree emits.
+
+    A node at depth d with generators m_1..m_r emits (d, m_k) for every k.
+    For k >= 2 it has a child at depth d + 1 on the minimalized
+    ``(lcm(m_i, m_k) : i < k)``, which generates J ∩ (m_k) for
+    J = (m_1..m_{k-1}).  The Mayer-Vietoris sequence of J + (m_k) shows
+    that beta_{i,b} != 0 only if (i, b) is emitted.  So every Betti
+    multidegree is a key, and beta_{i,b} != 0 implies i >= d_min(b), the
+    least depth that emits b.
+
+    The root keeps the ideal's generator order and every other node
+    descending lex order, which the packed ints give for free.  Nodes are
+    walked level by level, and a node whose generators were met before is
+    skipped: its subtree emits the same multidegrees as the first copy's,
+    none shallower.  More than ``cap`` distinct nodes raise
+    ResourceCapError.
+    """
+    pk = _Packing(len(gens[0]), gens)
+    guards, shift = pk.guards, pk.shift
+    root = tuple(map(pk.pack, gens))
+    depth: dict[int, int] = {}
+    seen = {root}
+    level = [root]
+    d = 0
+    while level:
+        children = []
+        for node in level:
+            for k, m in enumerate(node):
+                depth.setdefault(m, d)
+                if not k:
+                    continue
+                joins = set()
+                for a in node[:k]:  # the packed lcm, inlined
+                    c = guards & ~((a | guards) - m)
+                    joins.add(a ^ ((m ^ a) & (c - (c >> shift))))
+                kept: list[int] = []
+                for b in sorted(joins):  # divisors first
+                    bg = b | guards
+                    for g in kept:
+                        if (bg - g) & guards == guards:
+                            break
+                    else:
+                        kept.append(b)
+                child = tuple(reversed(kept))
+                if child not in seen:
+                    seen.add(child)
+                    children.append(child)
+                    if len(seen) > cap:
+                        raise ResourceCapError(
+                            f"Mayer-Vietoris tree exceeds the node cap {cap}; "
+                            f"raise it with --lattice-cap (lattice_cap=) to proceed"
+                        )
+        level = children
+        d += 1
+    return {pk.unpack(b): e for b, e in depth.items()}
 
 
 def koszul_slice_faces(ideal: MonomialIdeal, b: Monomial) -> set[frozenset]:

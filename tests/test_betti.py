@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from edgereg.betti import (
     DEFAULT_LATTICE_CAP,
     _divisor_masks,
-    _mv_candidates,
     _slice_betti,
     _slice_covers,
     betti_table,
@@ -40,6 +40,7 @@ from oracles import (
     has_linear_resolution,
     k_polynomial_reference,
     max_homological_index,
+    mv_candidates_reference,
     multigraded_betti_reference,
     private_variable_regularity,
     regularity_reference,
@@ -80,7 +81,7 @@ class TestLcmLattice:
         assert "3" in str(err.value)
 
 
-@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("cap", [0, -1, True, False, 2.0])
 @pytest.mark.parametrize("text", ["(x1)", "(x1*x2^2, x2*x3^2, x3*x1^2)"])
 def test_cap_below_one_is_rejected(text, cap):
     ideal = I(text)
@@ -167,7 +168,7 @@ def test_mask_covers_match_tuple_scan_up_to_relabelling(case):
 @example(I("(x2^2*x3^2*x4^2, x1*x2*x3^2*x4, x1^2*x2*x3, x1*x3*x4^2, x1*x2^2)", n=4))
 @settings(max_examples=60, deadline=None)
 def test_every_betti_multidegree_is_a_tree_candidate(ideal):
-    candidates = _mv_candidates(tuple(g.dense() for g in ideal.generators), 10**6)
+    candidates = mv_candidates_reference(tuple(g.dense() for g in ideal.generators), 10**6)
     for i, b in multigraded_betti_reference(ideal):
         assert b.dense() in candidates
         assert i >= candidates[b.dense()]  # the bound the regularity search stops at
@@ -212,7 +213,9 @@ def test_regularity_search_slices_only_tree_candidates(monkeypatch):
 
     monkeypatch.setattr(betti_module, "_slice_betti", recording)
     assert regularity(ideal) == table.regularity()
-    candidates = _mv_candidates(tuple(g.dense() for g in ideal.generators), DEFAULT_LATTICE_CAP)
+    candidates = mv_candidates_reference(
+        tuple(g.dense() for g in ideal.generators), DEFAULT_LATTICE_CAP
+    )
     assert len(slices) == len(set(slices))
     assert set(slices) < set(candidates)
     assert len(candidates) < lcm_lattice(ideal).size
@@ -223,7 +226,7 @@ def _candidate_table(ideal: MonomialIdeal, field: str = "Q") -> dict:
     gens = tuple(g.dense() for g in ideal.generators)
     le = _divisor_masks(list(gens))
     table = {}
-    for b in _mv_candidates(gens, DEFAULT_LATTICE_CAP):
+    for b in mv_candidates_reference(gens, DEFAULT_LATTICE_CAP):
         for i, r in _slice_betti(le, b, field).items():
             table[(i, Monomial.from_dense(ideal.variables, b))] = r
     return table
@@ -300,6 +303,41 @@ def test_alternating_betti_sums_match_the_k_polynomial(ideal, field):
     one = (0,) * len(ideal.variables)
     expected[one] = expected.get(one, 0) + 1
     assert {b: c for b, c in alternating.items() if c} == {b: c for b, c in expected.items() if c}
+
+
+@given(st.one_of(ideals(n_vars=3, max_gens=4, max_exp=3), cycle_powers()), st.sampled_from(["Q", "GF2"]))
+# the node (x1^3*x2^3*x3^2*x4^3*x5^4) waits at bound 14 at depths 1 and 2, and a
+# walk that skips every node met before builds the depth-2 copy first
+@example(I("(x1^3*x2*x4^3*x5^4, x1*x2^3*x3^2*x4^2*x5^3, x1^2*x3^3*x4*x5^2, x1^3*x2^3*x4)", n=5), "Q")
+# j - i = 3 is first met at beta_{2,5}, whose multidegree has bound 4; the
+# witness beta_{0,3} still waits in bucket 3
+@example(edge_ideal(make_cycle([1, 1, 1, 2])), "GF2")
+@settings(max_examples=80, deadline=None)
+def test_regularity_search_slices_the_candidates_whose_bound_reaches_it(ideal, field):
+    import edgereg.betti as betti_module
+
+    slices = []
+    original = betti_module._slice_betti
+
+    def recording(le, b, *rest):
+        slices.append(b)
+        return original(le, b, *rest)
+
+    with mock.patch.object(betti_module, "_slice_betti", recording):
+        reg, witness = regularity_witness(ideal, field)
+    candidates = mv_candidates_reference(tuple(g.dense() for g in ideal.generators), 10**6)
+    assert len(slices) == len(set(slices))
+    assert set(slices) == {b for b, d in candidates.items() if sum(b) - d >= reg}
+    table = betti_table(ideal, field)
+    assert (reg, witness) == (table.regularity(), table.regularity_witness())
+
+
+def test_regularity_builds_only_the_tree_nodes_its_bound_can_use():
+    # the full tree of C6 (one weight 3) at t = 3 has more than 300 distinct nodes
+    ideal = power(edge_ideal(make_cycle([2, 3, 2, 2, 2, 2])), 3)
+    with pytest.raises(ResourceCapError, match="node cap 300"):
+        mv_candidates_reference(tuple(g.dense() for g in ideal.generators), 300)
+    assert regularity(ideal, "Q", lattice_cap=300) == 16
 
 
 class TestUpperKoszulSlice:

@@ -275,6 +275,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=rf"\({field}=\) must hold plain ints"):
             small_cycle_spec(**{field: values})
 
+    @pytest.mark.parametrize("field", [
+        "seed", "exhaustive_cap", "sample_size", "workers", "lattice_cap",
+        "raw_max_variables", "raw_max_generators", "raw_max_exponent",
+    ])
+    @pytest.mark.parametrize("value", [True, False, 2.0, "3", None])
+    def test_scalar_fields_that_are_not_plain_ints(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field}= must be a plain int"):
+            small_cycle_spec(**{field: value})
+
     def test_graph_builder_validates_weights(self):
         with pytest.raises(ValueError):
             pendant_path_graph(1, [2, 2, 2])
@@ -311,6 +320,31 @@ class TestWeightTuples:
         assert len(tuples) == spec.sample_size
         assert tuples == sorted(set(tuples))
         assert all(len(w) == 40 and set(w) <= {2, 3} for w in tuples)
+
+
+def _rooted_trees_by_brute_force(n):
+    """Every parent tuple in lex order; each shape keeps its first tuple."""
+    shapes = {}
+    for parents in product(*[range(i) for i in range(1, n)]):
+        children = {}
+        for c, p in enumerate(parents, 1):
+            children.setdefault(p, []).append(c)
+
+        def encode(v):
+            return tuple(sorted(encode(c) for c in children.get(v, [])))
+
+        shapes.setdefault(encode(0), tuple((p, c) for c, p in enumerate(parents, 1)))
+    return [shapes[k] for k in sorted(shapes)]
+
+
+class TestCanonicalRootedTrees:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equal_to_the_brute_force(self, n):
+        assert verify._canonical_rooted_trees(n) == _rooted_trees_by_brute_force(n)
+
+    def test_twelve_vertices(self):
+        # the brute force would walk 11! parent tuples
+        assert len(verify._canonical_rooted_trees(12)) == 4766
 
 
 def _run_sweeps_module():
