@@ -10,9 +10,10 @@ is max{j - i : beta_{i,j} != 0}.
 The regularity needs no table.  Only the multidegrees that the
 Mayer-Vietoris tree of I emits can carry a Betti number (Saenz-de-Cabezon,
 AAECC 20, 2009), and the tree bounds j - i at each of them.  The search
-walks the tree best first, building a subtree only when its bound is the
-highest left, and slices exactly the emitted multidegrees whose bound
-reaches the regularity.
+walks the tree of the generators in ascending lex order best first,
+building a subtree only when its bound is the highest left, and slices
+exactly the emitted multidegrees whose bound reaches the regularity.
+Degrees are read off the packed exponent vectors (``ring._Packing``).
 
 The slice at b is the complex of squarefree vectors tau inside supp(b)
 with x^b / x^tau still in I.  It is covered by the full simplices
@@ -24,6 +25,7 @@ its homology is computed through the covered-complex pipeline in
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -58,18 +60,20 @@ class LcmLattice:
 def _lattice_tuples(gens: Sequence[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
     """All lcms of nonempty subsets of gens, sorted by (degree, exponents)."""
     pk = _Packing(len(gens[0]), gens)
+    guards, shift, mod = pk.guards, pk.shift, pk.mod
     lattice: set[int] = set()
     for g in map(pk.pack, gens):
         new = {g}
         for b in lattice:
-            new.add(pk.lcm(b, g))
+            c = guards & ~((b | guards) - g)  # the packed lcm, inlined
+            new.add(b ^ ((g ^ b) & (c - (c >> shift))))
         lattice |= new
         if len(lattice) > cap:
             raise ResourceCapError(
                 f"lcm lattice exceeds the size cap {cap}; "
                 f"raise it with --lattice-cap (lattice_cap=) to proceed"
             )
-    return sorted(map(pk.unpack, lattice), key=lambda b: (sum(b), b))
+    return [pk.unpack(b) for b in sorted(lattice, key=lambda b: (b % mod, b))]
 
 
 def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattice:
@@ -240,16 +244,25 @@ def regularity_witness(
     beta_{i,b} != 0 only if (i, b) is emitted, so j - i <= |b| - d_min(b)
     with j = |b| and d_min(b) the least depth emitting b.
 
-    The walk is best first over buckets of that bound.  An emission (d, m)
-    waits at |m| - d, and the child at k waits unbuilt at
-    |lcm(m_1..m_k)| - (d + 1), since every generator below it divides that
-    prefix lcm.  Both are at most the bound of the item that pushes them,
-    so the buckets drain from the root's down, and the walk stops at the
-    first bucket below the best j - i found.  Minimalizing can leave a
-    child's lcm below its prefix lcm, so a deeper copy of a node may be
-    built first; a node met again shallower is built again there.  So the
-    slices are exactly the b with |b| - d_min(b) >= reg, and the witness is
-    the one a full table gives (``BettiTable.regularity_witness``).
+    Every node lists its generators in ascending lex order, the order of
+    their packed ints.  The argument holds for any order, but in this one
+    the prefix lcms below grow slowly, so more children wait low and are
+    never built.
+
+    The walk is best first over buckets of that bound, kept only for the
+    bounds in use.  An emission (d, m) waits at |m| - d, and the child at
+    k waits unbuilt at |lcm(m_1..m_k)| - (d + 1), since every generator
+    below it divides that prefix lcm.  A degree is the packed int modulo
+    ``2**width - 1``: each field weighs ``2**width ≡ 1``, and the fields
+    are sized so that the sum stays below the modulus.  Both bounds are at
+    most the bound of the item that pushes them, so the buckets drain from
+    the root's down, and the walk stops at the first bucket below the best
+    j - i found.  The best only grows, so an item bounded below it when
+    pushed would never be popped, and it is not pushed.  Minimalizing can
+    leave a child's lcm below its prefix lcm, so a deeper copy of a node
+    may be built first; a node met again shallower is built again there.
+    So the slices are exactly the b with |b| - d_min(b) >= reg, and the
+    witness is the one a full table gives (``BettiTable.regularity_witness``).
     """
     if ideal.is_zero:
         raise ZeroIdealError("regularity of the zero ideal is undefined")
@@ -258,37 +271,42 @@ def regularity_witness(
     gens = ideal._exps
     le = _divisor_masks(gens)
     pk = _Packing(len(gens[0]), gens)
-    guards, shift, unpack = pk.guards, pk.shift, pk.unpack
+    guards, shift, mod, unpack = pk.guards, pk.shift, pk.mod, pk.unpack
     # buckets[bound]: packed emissions m, and (child depth, parent, k) of unbuilt children
-    buckets: list[list] = [[] for _ in range(sum(map(max, zip(*gens))) + 1)]
+    buckets: defaultdict[int, list] = defaultdict(list)
     seen: dict[tuple[int, ...], int] = {}  # node: least depth built
     sliced: set[int] = set()
+    best = (-1, 0)  # (j - i, -i) of the best pair so far
 
     def build(d: int, node: tuple[int, ...]) -> None:
         seen[node] = d
         if len(seen) > lattice_cap:
             raise ResourceCapError(f"Mayer-Vietoris tree exceeds the node cap {lattice_cap}; "
                                    f"raise it with --lattice-cap (lattice_cap=) to proceed")
+        floor = best[0]  # an item bounded below it is never popped
         prefix = 0
         for k, m in enumerate(node):
             c = guards & ~((prefix | guards) - m)  # the packed lcm, inlined
             prefix ^= (m ^ prefix) & (c - (c >> shift))
             if m not in sliced:
-                bound = sum(unpack(m)) - d
+                bound = m % mod - d  # the packed degree
                 assert bound >= 0, "each tree level raises the degree"
-                buckets[bound].append(m)
+                if bound >= floor:
+                    buckets[bound].append(m)
             if k:
-                bound = sum(unpack(prefix)) - d - 1
+                bound = prefix % mod - d - 1
                 assert bound >= 0, "each tree level raises the degree"
-                buckets[bound].append((d + 1, node, k))
+                if bound >= floor:
+                    buckets[bound].append((d + 1, node, k))
 
-    build(0, tuple(map(pk.pack, gens)))  # the root keeps the ideal's generator order
-    best = (-1, 0)  # (j - i, -i) of the best pair so far
-    for bound in reversed(range(len(buckets))):
+    build(0, tuple(sorted(map(pk.pack, gens))))  # ascending lex order
+    while buckets:
+        bound = max(buckets)  # pushes never go above the bucket being drained
         if bound < best[0]:
             break
-        while buckets[bound]:
-            item = buckets[bound].pop()
+        bucket = buckets[bound]
+        while bucket:
+            item = bucket.pop()
             if type(item) is int:
                 if item not in sliced:
                     sliced.add(item)
@@ -310,9 +328,10 @@ def regularity_witness(
                         break
                 else:
                     kept.append(b)
-            child = tuple(reversed(kept))  # descending lex order, free on packed ints
+            child = tuple(kept)  # ascending lex order, free on packed ints
             if seen.get(child, d + 1) > d:
                 build(d, child)
+        del buckets[bound]
     return best[0], (-best[1], best[0] - best[1])
 
 

@@ -75,27 +75,32 @@ class _Packing:
 
     One byte-aligned field per variable, the first variable in the most
     significant field, so int order is lex order and a divisor is a smaller
-    int than its multiples.  Each field is the narrowest of 8, 16, 32 and
-    64 bits whose top bit, the guard, stays clear for every exponent the
-    packing is sized for; while exponents stay within that size, the sum of
-    two packed vectors packs their sum.  The guard bits of
+    int than its multiples.  Fields are the narrowest of 8, 16, 32 and 64
+    bits whose top bit, the guard, stays clear for every exponent the
+    packing is sized for, and where ``n * top < 2**width - 1`` for n
+    variables and the largest such exponent top.  While exponents stay
+    within that size, the sum of two packed vectors packs their sum, and
+    ``p % mod`` with ``mod = 2**width - 1`` is the total degree of p:
+    ``2**width ≡ 1`` modulo mod, so p is congruent to the sum of its
+    fields, which is below mod.  The guard bits of
     ``(b | guards) - g`` mark the fields where b >= g, so g divides b
     exactly when all of them are set, and a join is the SWAR maximum
     ``b ^ ((g ^ b) & m)`` with ``m`` the value bits of the fields where
     g > b.
     """
 
-    __slots__ = ("shift", "guards", "_struct")
+    __slots__ = ("shift", "guards", "mod", "_struct")
 
     def __init__(self, n: int, vectors: Iterable[tuple[int, ...]], scale: int = 1) -> None:
         """Fields for ``scale`` times the largest exponent of the vectors."""
         top = scale * max(chain.from_iterable(vectors), default=0)
         for width, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
-            if top < 1 << (width - 1):
+            if top < 1 << (width - 1) and n * top < (1 << width) - 1:
                 break
         else:
-            raise DegreeCapError(f"exponent {top} does not fit a 64-bit field")
+            raise DegreeCapError(f"{n} exponents up to {top} do not fit a 64-bit field")
         self.shift = width - 1
+        self.mod = (1 << width) - 1
         self.guards = sum(1 << (k * width + self.shift) for k in range(n))
         self._struct = struct.Struct(f">{n}{code}")
 
@@ -104,10 +109,6 @@ class _Packing:
 
     def unpack(self, b: int) -> tuple[int, ...]:
         return self._struct.unpack(b.to_bytes(self._struct.size, "big"))
-
-    def lcm(self, b: int, g: int) -> int:
-        c = self.guards & ~((b | self.guards) - g)  # guard bits of the fields where g > b
-        return b ^ ((g ^ b) & (c - (c >> self.shift)))
 
 
 def _text(names: tuple[str, ...], exps: tuple[int, ...]) -> str:

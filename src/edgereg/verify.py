@@ -389,7 +389,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     if spec.workers > 1 and len(instances) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
 
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # a fork pool starts all its workers up front, so start no more than there is work for
+        with ProcessPoolExecutor(max_workers=min(spec.workers, len(instances))) as pool:
             records = list(pool.map(evaluate, instances))
     else:
         records = [evaluate(inst) for inst in instances]

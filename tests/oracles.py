@@ -169,8 +169,10 @@ def mv_candidates_reference(
     multidegree is a key, and beta_{i,b} != 0 implies i >= d_min(b), the
     least depth that emits b.
 
-    The root keeps the ideal's generator order and every other node
-    descending lex order, which the packed ints give for free.  Nodes are
+    Every node, the root included, lists its generators in ascending lex
+    order, the order of their packed ints, as ``betti.regularity_witness``
+    builds them.  Any order gives a valid tree, but the emitted
+    multidegrees and their depths depend on it.  Nodes are
     walked level by level, and a node whose generators were met before is
     skipped: its subtree emits the same multidegrees as the first copy's,
     none shallower.  More than ``cap`` distinct nodes raise
@@ -178,7 +180,7 @@ def mv_candidates_reference(
     """
     pk = _Packing(len(gens[0]), gens)
     guards, shift = pk.guards, pk.shift
-    root = tuple(map(pk.pack, gens))
+    root = tuple(sorted(map(pk.pack, gens)))
     depth: dict[int, int] = {}
     seen = {root}
     level = [root]
@@ -202,7 +204,7 @@ def mv_candidates_reference(
                             break
                     else:
                         kept.append(b)
-                child = tuple(reversed(kept))
+                child = tuple(kept)
                 if child not in seen:
                     seen.add(child)
                     children.append(child)

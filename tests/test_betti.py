@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +23,7 @@ from edgereg.betti import (
     regularity_witness,
 )
 from edgereg.constructions import build_colon_structure, edge_ideal
-from edgereg.digraph import make_cycle
+from edgereg.digraph import WeightedDigraph, make_cycle
 from edgereg.errors import ResourceCapError, ZeroIdealError
 from edgereg.ideals import (
     MonomialIdeal,
@@ -306,12 +309,20 @@ def test_alternating_betti_sums_match_the_k_polynomial(ideal, field):
 
 
 @given(st.one_of(ideals(n_vars=3, max_gens=4, max_exp=3), cycle_powers()), st.sampled_from(["Q", "GF2"]))
-# the node (x1^3*x2^3*x3^2*x4^3*x5^4) waits at bound 14 at depths 1 and 2, and a
-# walk that skips every node met before builds the depth-2 copy first
+# in descending generator order, the node (x1^3*x2^3*x3^2*x4^3*x5^4) waits at
+# bound 14 at depths 1 and 2; the ascending order builds it once
 @example(I("(x1^3*x2*x4^3*x5^4, x1*x2^3*x3^2*x4^2*x5^3, x1^2*x3^3*x4*x5^2, x1^3*x2^3*x4)", n=5), "Q")
-# j - i = 3 is first met at beta_{2,5}, whose multidegree has bound 4; the
-# witness beta_{0,3} still waits in bucket 3
+# the node (x1^3*x2^3*x3*x4^3*x5) is built at depth 2, where its bound is 9, and
+# then met at depth 1, where it is 10 = reg; a walk that skips every node met
+# before would not slice it
+@example(I("(x1^3*x2*x3^3*x4^2*x5, x1^2*x2^3*x3*x4^3, x1^3*x4^3*x5, x1^3*x2^2*x3)", n=5), "Q")
+# in descending generator order, j - i = 3 is first met at beta_{2,5}, whose
+# multidegree has bound 4, while the witness beta_{0,3} waits in bucket 3; the
+# ascending order meets both in bucket 3
 @example(edge_ideal(make_cycle([1, 1, 1, 2])), "GF2")
+# j - i = 4 is first met at beta_{2,6}, whose multidegree has bound 5; the
+# witness beta_{0,4} still waits in bucket 4
+@example(I("(x1^2*x2*x3, x1^2*x3^2, x1^2*x4, x2*x3^2)", n=4), "Q")
 @settings(max_examples=80, deadline=None)
 def test_regularity_search_slices_the_candidates_whose_bound_reaches_it(ideal, field):
     import edgereg.betti as betti_module
@@ -338,6 +349,63 @@ def test_regularity_builds_only_the_tree_nodes_its_bound_can_use():
     with pytest.raises(ResourceCapError, match="node cap 300"):
         mv_candidates_reference(tuple(g.dense() for g in ideal.generators), 300)
     assert regularity(ideal, "Q", lattice_cap=300) == 16
+
+
+def _cycle_ladder(seed: int) -> list[MonomialIdeal]:
+    """The ten ideals of the benchmark's cycle-ladder workload at a seed
+    (``cycle_ladder_ops`` in edgebench/workloads.py)."""
+    ladder = []
+    for n, t in ((5, 2), (5, 3), (5, 4), (6, 2), (6, 3), (7, 2)):
+        rng = random.Random(f"cycle-ladder:{seed}:{n}:{t}")
+        cycle = [f"x{k + 1}" for k in range(n)]
+        weights = dict.fromkeys(cycle, 2)
+        weights[rng.choice(cycle)] = 3
+        listed = rng.sample(cycle, n)  # vertex order is variable order
+        edges = [(cycle[k - 1], cycle[k]) for k in range(n)]
+        ladder.append((WeightedDigraph([(v, weights[v]) for v in listed], edges), t))
+    ladder += [(ex.build(), ex.t) for ex in REFERENCE_EXAMPLES]
+    return [power(edge_ideal(graph), t) for graph, t in ladder]
+
+
+def test_the_cycle_ladder_regularities_slice_196_multidegrees(monkeypatch):
+    # the ascending generator order; the descending one slices 328
+    import edgereg.betti as betti_module
+
+    slices = []
+    original = betti_module._slice_betti
+
+    def recording(le, b, field):
+        slices.append(b)
+        return original(le, b, field)
+
+    monkeypatch.setattr(betti_module, "_slice_betti", recording)
+    ladder = _cycle_ladder(0)
+    assert len(ladder) == 10
+    for ideal in ladder:
+        regularity(ideal)
+    assert len(slices) == 196
+
+
+def test_the_regularity_walk_allocates_with_the_work_not_the_degree():
+    # a queue sized by the top degree would hold three million buckets here (about 230 MB)
+    script = """
+import resource
+from edgereg.betti import regularity_witness
+from edgereg.ideals import parse_ideal
+from edgereg.ring import VariableSet
+ideal = parse_ideal("(x1^1000000, x2^1000000, x3^1000000)", VariableSet(["x1", "x2", "x3"]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+reg, (i, j) = regularity_witness(ideal)
+print(reg, i, j, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    import edgereg
+
+    src = str(Path(edgereg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    reg, i, j, grown_kib = map(int, out.split())  # ru_maxrss counts KiB on Linux
+    assert (reg, i, j) == (2999998, 2, 3000000)
+    assert grown_kib < 64 * 1024
 
 
 class TestUpperKoszulSlice:

@@ -163,3 +163,23 @@ def test_power_repeats_multiplication(m, k):
     for _ in range(k):
         out = out * m
     assert m**k == out
+
+
+@pytest.mark.parametrize(
+    "n, top, width",
+    [(1, 127, 8), (1, 128, 16), (2, 127, 8), (3, 84, 8), (3, 85, 16), (3, 21844, 16), (3, 21845, 32)],
+)
+def test_packed_fields_hold_the_total_degree(n, top, width):
+    # the guard bit and n * top < 2**width - 1 together pick the width
+    pk = ring._Packing(n, [(top,) * n])
+    assert pk.shift + 1 == width
+    assert pk.pack((top,) * n) % pk.mod == n * top
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 300)] * n), min_size=1, max_size=4)))
+def test_packed_degree_is_the_sum_of_the_exponents(vectors):
+    pk = ring._Packing(len(vectors[0]), vectors)
+    join = tuple(map(max, zip(*vectors)))  # the lcm of them all has the largest degree
+    for v in [*vectors, join]:
+        assert pk.pack(v) % pk.mod == sum(v)

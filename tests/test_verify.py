@@ -115,6 +115,30 @@ class TestCampaigns:
         b["spec"].pop("workers")
         assert a == b
 
+    def test_the_pool_starts_no_more_workers_than_instances(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:  # records the pool size and runs in process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        report = run_campaign(small_cycle_spec(t_values=(1,), workers=9999))
+        assert started == [len(report.records)] == [8]
+        run_campaign(small_cycle_spec(t_values=(1,), workers=3))
+        assert started[-1] == 3
+
 
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self):
