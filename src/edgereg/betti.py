@@ -24,10 +24,11 @@ its homology is computed through the covered-complex pipeline in
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import ResourceCapError, ZeroIdealError
 from .homology import FIELD_Q, _check_field, covered_homology
@@ -60,14 +61,11 @@ class LcmLattice:
 def _lattice_tuples(gens: Sequence[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
     """All lcms of nonempty subsets of gens, sorted by (degree, exponents)."""
     pk = _Packing(len(gens[0]), gens)
-    guards, shift, mod = pk.guards, pk.shift, pk.mod
+    mod = pk.mod
     lattice: set[int] = set()
     for g in map(pk.pack, gens):
-        new = {g}
-        for b in lattice:
-            c = guards & ~((b | guards) - g)  # the packed lcm, inlined
-            new.add(b ^ ((g ^ b) & (c - (c >> shift))))
-        lattice |= new
+        lattice |= pk.joins(g, lattice)
+        lattice.add(g)
         if len(lattice) > cap:
             raise ResourceCapError(
                 f"lcm lattice exceeds the size cap {cap}; "
@@ -114,14 +112,6 @@ class BettiTable:
     def regularity(self) -> int:
         return max(j - i for (i, j), r in self.entries.items() if r)
 
-    def regularity_witness(self) -> tuple[int, int]:
-        """The lexicographically least (i, j) achieving the regularity."""
-        reg = self.regularity()
-        return min((i, j) for (i, j), r in self.entries.items() if r and j - i == reg)
-
-    def generator_degrees(self) -> dict[int, int]:
-        return {j: r for (i, j), r in sorted(self.entries.items()) if i == 0 and r}
-
     def graded_equal(self, other: "BettiTable") -> bool:
         mine = {k: r for k, r in self.entries.items() if r}
         theirs = {k: r for k, r in other.entries.items() if r}
@@ -134,9 +124,6 @@ class BettiTable:
                 {"i": i, "j": j, "rank": r} for (i, j, r) in self.nonzero()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def text_grid(self) -> str:
         """Aligned grid, rows by degree j, columns by homological index i."""
@@ -162,46 +149,64 @@ class BettiTable:
         return f"BettiTable(field={self.field}, nonzero={len(self.nonzero())})"
 
 
-def _divisor_masks(gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """``le[j][e]``: bitmask of the generators g with ``g_j <= e``.
+_Masks = tuple[list[dict[int, int]], list[dict[int, int]]]
 
-    Bit k stands for ``gens[k]``.  Row j runs to one past the largest
-    exponent of variable j; its last two entries hold every generator.
+
+def _divisor_masks(gens: Sequence[tuple[int, ...]]) -> _Masks:
+    """``le[j][e]`` and ``lt[j][e]``: bitmasks of the generators g with
+    ``g_j <= e`` and with ``g_j < e``.
+
+    Bit k stands for ``gens[k]``.  Row j has one key per distinct exponent
+    of variable j among the generators, so no row outgrows the generators.
     """
-    le = []
+    le, lt = [], []
     for j in range(len(gens[0])):
-        row = [0] * (max(g[j] for g in gens) + 2)
+        at: defaultdict[int, int] = defaultdict(int)
         for k, g in enumerate(gens):
-            row[g[j]] |= 1 << k
-        for e in range(1, len(row)):
-            row[e] |= row[e - 1]
-        le.append(row)
-    return le
+            at[g[j]] |= 1 << k
+        le_row, lt_row = {}, {}
+        below = 0
+        for e in sorted(at):
+            lt_row[e] = below
+            below |= at[e]
+            le_row[e] = below
+        le.append(le_row)
+        lt.append(lt_row)
+    return le, lt
 
 
-def _slice_covers(le: list[list[int]], b: tuple[int, ...]) -> list[int]:
+def _slice_covers(masks: _Masks, b: tuple[int, ...]) -> list[int]:
     """Divisor-side cover masks of the slice at b, over generator bits.
 
     The vertices are the generators dividing b, ``AND_j le[j][b_j]``; for
     each variable j in supp(b) the divisors that do not attain deg_j(b),
-    ``divisors & le[j][b_j - 1]``, span a full simplex, and these simplices
+    ``divisors & lt[j][b_j]``, span a full simplex, and these simplices
     cover the (nerve-dual) slice complex.  Lattice points and tree
-    candidates are lcms of generators and never run past a row; an exponent
-    that does acts as one past every generator's, so it is clamped to the
-    row's last entry.
+    candidates are lcms of generators, so every b_j they carry is a key of
+    row j.  Any other exponent e takes the union of the row's masks at the
+    keys up to e.
     """
+    le, lt = masks
     try:
         divisors = -1
         for row, e in zip(le, b):
             divisors &= row[e]
-        return [divisors & row[e - 1] for row, e in zip(le, b) if e]
-    except IndexError:
-        return _slice_covers(le, tuple(min(e, len(row) - 1) for row, e in zip(le, b)))
+        return [divisors & row[e] for row, e in zip(lt, b) if e]
+    except KeyError:
+        divisors = -1
+        for row, e in zip(le, b):
+            divisors &= _union_below(row, e + 1)
+        return [divisors & _union_below(row, e) for row, e in zip(le, b) if e]
 
 
-def _slice_betti(le: list[list[int]], b: tuple[int, ...], field: str) -> dict[int, int]:
+def _union_below(row: dict[int, int], e: int) -> int:
+    """The generators whose exponent is below e, from a row of ``le``."""
+    return reduce(or_, (mask for x, mask in row.items() if x < e), 0)
+
+
+def _slice_betti(masks: _Masks, b: tuple[int, ...], field: str) -> dict[int, int]:
     """{homological index i: beta_{i,b}} for one multidegree."""
-    hom = covered_homology(_slice_covers(le, b), field)
+    hom = covered_homology(_slice_covers(masks, b), field)
     return {d + 1: r for d, r in hom.items() if r}
 
 
@@ -218,10 +223,10 @@ def betti_table(
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
     _check_field(field)
     _check_cap(lattice_cap)
-    le = _divisor_masks(ideal._exps)
+    masks = _divisor_masks(ideal._exps)
     multigraded: dict[tuple[int, Monomial], int] = {}
     for b in _lattice_tuples(ideal._exps, lattice_cap):
-        ranks = _slice_betti(le, b, field)
+        ranks = _slice_betti(masks, b, field)
         if ranks:
             bm = Monomial.from_dense(ideal.variables, b)
             for i in sorted(ranks):
@@ -262,14 +267,14 @@ def regularity_witness(
     leave a child's lcm below its prefix lcm, so a deeper copy of a node
     may be built first; a node met again shallower is built again there.
     So the slices are exactly the b with |b| - d_min(b) >= reg, and the
-    witness is the one a full table gives (``BettiTable.regularity_witness``).
+    witness is the least pair achieving reg in the full table.
     """
     if ideal.is_zero:
         raise ZeroIdealError("regularity of the zero ideal is undefined")
     _check_field(field)
     _check_cap(lattice_cap)
     gens = ideal._exps
-    le = _divisor_masks(gens)
+    masks = _divisor_masks(gens)
     pk = _Packing(len(gens[0]), gens)
     guards, shift, mod, unpack = pk.guards, pk.shift, pk.mod, pk.unpack
     # buckets[bound]: packed emissions m, and (child depth, parent, k) of unbuilt children
@@ -286,7 +291,9 @@ def regularity_witness(
         floor = best[0]  # an item bounded below it is never popped
         prefix = 0
         for k, m in enumerate(node):
-            c = guards & ~((prefix | guards) - m)  # the packed lcm, inlined
+            # the running prefix lcm: the join of _Packing.joins, inlined
+            # because this loop runs once per generator of every node built
+            c = guards & ~((prefix | guards) - m)
             prefix ^= (m ^ prefix) & (c - (c >> shift))
             if m not in sliced:
                 bound = m % mod - d  # the packed degree
@@ -311,24 +318,11 @@ def regularity_witness(
                 if item not in sliced:
                     sliced.add(item)
                     b = unpack(item)
-                    for i in _slice_betti(le, b, field):
+                    for i in _slice_betti(masks, b, field):
                         best = max(best, (sum(b) - i, -i))
                 continue
             d, node, k = item
-            m = node[k]
-            joins = set()
-            for a in node[:k]:  # the packed lcm, inlined
-                c = guards & ~((a | guards) - m)
-                joins.add(a ^ ((m ^ a) & (c - (c >> shift))))
-            kept: list[int] = []
-            for b in sorted(joins):  # divisors first
-                bg = b | guards
-                for g in kept:
-                    if (bg - g) & guards == guards:
-                        break
-                else:
-                    kept.append(b)
-            child = tuple(kept)  # ascending lex order, free on packed ints
+            child = tuple(pk.minimal(pk.joins(node[k], node[:k])))  # ascending lex order
             if seen.get(child, d + 1) > d:
                 build(d, child)
         del buckets[bound]

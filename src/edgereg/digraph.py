@@ -117,10 +117,6 @@ class WeightedDigraph:
     def weight(self, name: str) -> int:
         return self._weights[name]
 
-    @property
-    def weights(self) -> dict[str, int]:
-        return dict(self._weights)
-
     def total_weight(self) -> int:
         return sum(self._weights.values())
 
@@ -162,12 +158,6 @@ class WeightedDigraph:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [{"name": v, "weight": self._weights[v]} for v in self._names],
-            "edges": [[a, b] for a, b in self._edges],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedDigraph":
         try:
@@ -182,12 +172,6 @@ def load_graph(path: str) -> WeightedDigraph:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return WeightedDigraph.from_json_dict(data)
-
-
-def save_graph(graph: WeightedDigraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # -- family analysis ---------------------------------------------------

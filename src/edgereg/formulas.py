@@ -14,7 +14,6 @@ instances is the point of the verification harness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .digraph import Family, FamilyTag, WeightedDigraph, classify, weight_violations
@@ -46,9 +45,6 @@ class FormulaResult:
             "admissible": self.admissible,
             "violations": list(self.violations),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def closed_form_value(sum_weights: int, n_edges: int, max_weight: int, t: int) -> int:

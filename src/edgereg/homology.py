@@ -155,17 +155,6 @@ def _covered_homology_cached(covers: tuple[int, ...], field: str) -> tuple[tuple
     return tuple(out)
 
 
-def homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
-    """Reduced homology ranks {dimension: rank}, zero ranks omitted.
-
-    ``faces`` are the bitmasks of a complex, closed under subsets; its
-    maximal faces are the covers of :func:`boundary_rank_table`.
-    """
-    if not faces:
-        return {}
-    return dict(_covered_homology_cached(tuple(maximal_masks(faces)), field))
-
-
 def covered_homology(covers: list[int], field: str) -> dict[int, int]:
     """Reduced homology of a union of full simplices.
 

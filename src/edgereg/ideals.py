@@ -10,8 +10,6 @@ are kept as dense exponent tuples and minimalized on the packed ints of
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DegreeCapError, ParseError, VariableSetMismatchError
@@ -21,28 +19,17 @@ from .ring import parse_monomial
 Vector = tuple[int, ...]
 
 
-def _packed(pk: _Packing, vectors: Iterable[Vector]) -> list[tuple[int, int]]:
-    return [(sum(v), pk.pack(v)) for v in vectors]
-
-
-def _minimal(pk: _Packing, pool: list[tuple[int, int]]) -> tuple[Vector, ...]:
-    """The vectors of the (degree, packed vector) pairs in pool that no
-    other one divides, in descending (degree, lex) order."""
-    guards = pk.guards
-    kept: list[int] = []
-    for _, b in sorted(set(pool)):  # divisors precede their multiples
-        bg = b | guards
-        for g in kept:
-            if (bg - g) & guards == guards:
-                break
-        else:
-            kept.append(b)
-    return tuple([pk.unpack(b) for b in reversed(kept)])
+def _minimal(pk: _Packing, packed: Iterable[int]) -> tuple[Vector, ...]:
+    """The vectors of the packed ints that no other one divides, in
+    descending (degree, lex) order."""
+    kept = pk.minimal(packed)[::-1]  # descending lex
+    kept.sort(key=pk.mod.__rmod__, reverse=True)  # stable, so lex stays within a degree
+    return tuple([pk.unpack(b) for b in kept])
 
 
 def _minimalize(n: int, vectors: list[Vector]) -> tuple[Vector, ...]:
     pk = _Packing(n, vectors)
-    return _minimal(pk, _packed(pk, vectors))
+    return _minimal(pk, set(map(pk.pack, vectors)))
 
 
 class MonomialIdeal:
@@ -91,14 +78,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self._exps
 
-    @property
-    def is_unit(self) -> bool:
-        return len(self._exps) == 1 and not any(self._exps[0])
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for v in self._exps for e in v)
-
     def __len__(self) -> int:
         return len(self._exps)
 
@@ -124,27 +103,6 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"
-
-    # -- membership ----------------------------------------------------
-
-    def contains_monomial(self, m: Monomial) -> bool:
-        _check_same_ring(self, m)
-        b = m.dense()
-        return any(all(x <= y for x, y in zip(g, b)) for g in self._exps)
-
-    # -- derived data ---------------------------------------------------
-
-    @property
-    def support(self) -> frozenset[int]:
-        """Union of the generator supports, as variable indices."""
-        return frozenset(i for v in self._exps for i, e in enumerate(v) if e)
-
-    def max_exponent(self, idx: int) -> int:
-        return max((v[idx] for v in self._exps), default=0)
-
-    def generator_degrees(self) -> dict[int, int]:
-        """Map degree -> number of minimal generators of that degree."""
-        return dict(Counter(map(sum, self._exps)))
 
 
 # -- arithmetic on ideals ------------------------------------------------
@@ -181,8 +139,8 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if degree > DEGREE_CAP:
         raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
     pk = _Packing(len(variables), a._exps + b._exps, 2)
-    pb = _packed(pk, b._exps)
-    pool = [(d + e, g + h) for d, g in _packed(pk, a._exps) for e, h in pb]
+    pb = list(map(pk.pack, b._exps))
+    pool = {g + h for g in map(pk.pack, a._exps) for h in pb}
     return MonomialIdeal._of(variables, _minimal(pk, pool))
 
 
@@ -199,49 +157,18 @@ def power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
 # -- polarization ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VariableMap:
-    """Provenance of polarized variables.
-
-    ``slot_of[k]`` gives (base index, slot number >= 1) for the k-th
-    polarized variable; ``slots_per_base[j]`` is the number of slots the
-    base variable j received.
-    """
-
-    base: VariableSet
-    polarized: VariableSet
-    slot_of: tuple[tuple[int, int], ...]
-    slots_per_base: tuple[int, ...]
-
-    def polar_index(self, base_idx: int, slot: int) -> int:
-        if not 1 <= slot <= self.slots_per_base[base_idx]:
-            raise IndexError(f"slot {slot} out of range for base index {base_idx}")
-        return sum(self.slots_per_base[:base_idx]) + slot - 1
-
-
-@dataclass(frozen=True)
-class Polarization:
-    ideal: MonomialIdeal
-    variable_map: VariableMap
-
-
-def polarize(ideal: MonomialIdeal) -> Polarization:
+def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Expand every exponent e into e distinct squarefree slot variables.
 
-    The polarized variable for slot k of base variable ``x`` is named
-    ``x_k``.  Minimal generating sets stay minimal, so the generator count
-    is preserved.
+    Base variable ``x`` gets one slot per unit of its largest exponent, and
+    the polarized variable for slot k is named ``x_k``.  Minimal generating
+    sets stay minimal, so the generator count is preserved.
     """
     base = ideal.variables
-    slots = tuple(ideal.max_exponent(j) for j in range(len(base)))
-    names: list[str] = []
-    slot_of: list[tuple[int, int]] = []
-    for j, count in enumerate(slots):
-        for k in range(1, count + 1):
-            names.append(f"{base.names[j]}_{k}")
-            slot_of.append((j, k))
-    polar_vars = VariableSet(names)
-    vmap = VariableMap(base, polar_vars, tuple(slot_of), slots)
+    slots = [max(column) for column in zip(*ideal._exps)]
+    polar_vars = VariableSet(
+        f"{name}_{k}" for name, count in zip(base.names, slots) for k in range(1, count + 1)
+    )
     gens = []
     for v in ideal._exps:
         polar: list[int] = []
@@ -250,7 +177,7 @@ def polarize(ideal: MonomialIdeal) -> Polarization:
         gens.append(tuple(polar))
     out = MonomialIdeal._of(polar_vars, _minimalize(len(polar_vars), gens))
     assert len(out) == len(ideal), "polarization must preserve the generator count"
-    return Polarization(out, vmap)
+    return out
 
 
 # -- text form ------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import struct
 from itertools import chain
-from operator import add, le, sub
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import DegreeCapError, ParseError, VariableSetMismatchError
@@ -110,6 +110,29 @@ class _Packing:
     def unpack(self, b: int) -> tuple[int, ...]:
         return self._struct.unpack(b.to_bytes(self._struct.size, "big"))
 
+    def joins(self, g: int, points: Iterable[int]) -> set[int]:
+        """The packed lcms of g with each of the points."""
+        guards, shift = self.guards, self.shift
+        return {
+            b ^ ((g ^ b) & (c - (c >> shift)))
+            for b in points
+            for c in (guards & ~((b | guards) - g),)
+        }
+
+    def minimal(self, packed: Iterable[int]) -> list[int]:
+        """The packed vectors that no other one divides, each once, in
+        ascending int order; a divisor is the smaller int, so it is met first."""
+        guards = self.guards
+        kept: list[int] = []
+        for b in sorted(packed):
+            bg = b | guards
+            for g in kept:
+                if (bg - g) & guards == guards:
+                    break
+            else:
+                kept.append(b)
+        return kept
+
 
 def _text(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
     """Canonical text of the monomial with the given dense exponent tuple."""
@@ -174,10 +197,6 @@ class Monomial:
         return cls._new(variables, (0,) * len(variables))
 
     @classmethod
-    def variable(cls, variables: VariableSet, name: str, power: int = 1) -> "Monomial":
-        return cls(variables, {variables.index(name): power})
-
-    @classmethod
     def from_dense(cls, variables: VariableSet, exps: Iterable[int]) -> "Monomial":
         exps = tuple(exps)
         n = len(variables)
@@ -191,30 +210,11 @@ class Monomial:
         return self._vars
 
     @property
-    def exponents(self) -> dict[int, int]:
-        return {i: e for i, e in enumerate(self._exps) if e}
-
-    @property
     def degree(self) -> int:
         return self._degree
 
-    def exponent(self, idx: int) -> int:
-        return self._exps[idx] if 0 <= idx < len(self._exps) else 0
-
     def dense(self) -> tuple[int, ...]:
         return self._exps
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self._exps) if e)
-
-    @property
-    def is_unit(self) -> bool:
-        return not self._degree
-
-    @property
-    def is_squarefree(self) -> bool:
-        return max(self._exps, default=0) <= 1
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_same_ring(self, other)
@@ -224,27 +224,6 @@ class Monomial:
         if k < 0:
             raise ValueError("negative power")
         return Monomial.from_dense(self._vars, [e * k for e in self._exps])
-
-    def divides(self, other: "Monomial") -> bool:
-        _check_same_ring(self, other)
-        return all(map(le, self._exps, other._exps))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial._new(self._vars, tuple(map(sub, self._exps, other._exps)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _check_same_ring(self, other)
-        return Monomial._new(self._vars, tuple(map(max, self._exps, other._exps)))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _check_same_ring(self, other)
-        return Monomial._new(self._vars, tuple(map(min, self._exps, other._exps)))
-
-    def grlex_key(self) -> tuple:
-        """Sort key: graded, then lexicographic in variable-set order."""
-        return (self._degree, self._exps)
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,15 +240,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
-
-
-def lcm(a: Monomial, b: Monomial) -> Monomial:
-    """Componentwise maximum of exponent vectors."""
-    return a.lcm(b)
-
-
-def gcd(a: Monomial, b: Monomial) -> Monomial:
-    return a.gcd(b)
 
 
 def parse_monomial(text: str, variables: VariableSet) -> Monomial:

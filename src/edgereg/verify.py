@@ -134,6 +134,8 @@ class CampaignSpec:
                 raise ValueError(f"--{flag} ({name}=) must hold plain ints, got {values!r}")
             if len(set(values)) < len(values):
                 raise ValueError(f"--{flag} ({name}=) repeats an entry: {values!r}")
+            if name != "n_values" and min(values, default=1) < 1:
+                raise ValueError(f"--{flag} ({name}=) entries must be at least 1, got {values!r}")
         if not self.n_values or not self.t_values:
             raise ValueError("n_values and t_values must be nonempty")
         if not self.weight_alphabet:
@@ -359,7 +361,7 @@ def _evaluate_instance(spec: CampaignSpec, inst: CampaignInstance) -> Verificati
             # the polarization's regularity stands in for a closed form
             ideal = power(inst.ideal, inst.t)
             plain = betti_table(ideal, spec.field, spec.lattice_cap)
-            polar = betti_table(polarize(ideal).ideal, spec.field, spec.lattice_cap)
+            polar = betti_table(polarize(ideal), spec.field, spec.lattice_cap)
             outcome = dict(
                 formula_value=polar.regularity(), admissible=True,
                 engine_value=plain.regularity(), match=plain.graded_equal(polar),

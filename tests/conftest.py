@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import strategies as st
 
 from edgereg.ideals import MonomialIdeal
-from edgereg.ring import Monomial, VariableSet
+from edgereg.ring import Monomial, VariableSet, parse_monomial
 
 
 def variable_set(n: int) -> VariableSet:
@@ -24,8 +25,8 @@ def monomials(draw, n_vars: int | None = None, max_exp: int = 3):
 @st.composite
 def nonunit_monomials(draw, n_vars: int | None = None, max_exp: int = 3):
     m = draw(monomials(n_vars=n_vars, max_exp=max_exp))
-    if m.is_unit:
-        m = m * Monomial.variable(m.variables, m.variables.names[0])
+    if not m.degree:
+        m = m * parse_monomial(m.variables.names[0], m.variables)
     return m
 
 
@@ -77,3 +78,11 @@ def c3():
     from edgereg.digraph import make_cycle
 
     return make_cycle([2, 2, 2])
+
+
+def write_graph(graph, path) -> str:
+    """Write graph as a JSON graph file, the format ``load_graph`` reads."""
+    vertices = [{"name": v, "weight": graph.weight(v)} for v in graph.vertex_names]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"vertices": vertices, "edges": [list(e) for e in graph.edges]}, fh)
+    return str(path)

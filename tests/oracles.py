@@ -109,28 +109,48 @@ def reduced_homology_of_face_sets(faces: set[frozenset], field: str) -> dict[int
     return out
 
 
-def minimalize_reference(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Minimal generators in descending graded-lex order, by pairwise
-    ``Monomial.divides`` on the monomial objects (no packing)."""
-    pool = sorted(set(gens), key=Monomial.grlex_key)
-    kept: list[Monomial] = []
+# -- exponent tuples -------------------------------------------------------------
+# Monomials as plain exponent tuples, so the references share no arithmetic
+# with the packed kernel they check.
+
+
+def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def support(vectors: Iterable[tuple[int, ...]]) -> frozenset[int]:
+    """The variable indices with a nonzero exponent in some vector."""
+    return frozenset(i for v in vectors for i, e in enumerate(v) if e)
+
+
+def gens_of(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    return [g.dense() for g in ideal.generators]
+
+
+def in_ideal(ideal: MonomialIdeal, b: tuple[int, ...]) -> bool:
+    """Is x^b in the ideal, i.e. does some generator divide it."""
+    return any(divides(g, b) for g in gens_of(ideal))
+
+
+def minimalize_reference(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The vectors no other one divides, in descending graded-lex order, by
+    pairwise comparison of exponent tuples (no packing)."""
+    pool = sorted(set(vectors), key=lambda v: (sum(v), v))
+    kept: list[tuple[int, ...]] = []
     for g in pool:
-        if not any(h.divides(g) for h in kept):
+        if not any(divides(h, g) for h in kept):
             kept.append(g)
-    kept.sort(key=Monomial.grlex_key, reverse=True)
+    kept.sort(key=lambda v: (sum(v), v), reverse=True)
     return tuple(kept)
 
 
-def subset_lcm_lattice(ideal: MonomialIdeal) -> set[Monomial]:
+def subset_lcm_lattice(ideal: MonomialIdeal) -> set[tuple[int, ...]]:
     """All lcms of nonempty generator subsets, by direct enumeration."""
-    gens = ideal.generators
-    out: set[Monomial] = set()
+    gens = gens_of(ideal)
+    out: set[tuple[int, ...]] = set()
     for k in range(1, len(gens) + 1):
         for subset in combinations(gens, k):
-            m = subset[0]
-            for g in subset[1:]:
-                m = m.lcm(g)
-            out.add(m)
+            out.add(tuple(map(max, *subset)) if k > 1 else subset[0])
     return out
 
 
@@ -218,14 +238,14 @@ def mv_candidates_reference(
     return {pk.unpack(b): e for b, e in depth.items()}
 
 
-def koszul_slice_faces(ideal: MonomialIdeal, b: Monomial) -> set[frozenset]:
+def koszul_slice_faces(ideal: MonomialIdeal, b: tuple[int, ...]) -> set[frozenset]:
     """Faces of the slice at b straight from the membership definition."""
-    support = sorted(b.support)
     faces: set[frozenset] = set()
-    for k in range(len(support) + 1):
-        for tau in combinations(support, k):
-            quotient = b / Monomial(b.variables, {v: 1 for v in tau})
-            if ideal.contains_monomial(quotient):
+    variables = sorted(support([b]))
+    for k in range(len(variables) + 1):
+        for tau in combinations(variables, k):
+            quotient = tuple(e - (i in tau) for i, e in enumerate(b))
+            if in_ideal(ideal, quotient):
                 faces.add(frozenset(tau))
     return faces
 
@@ -238,7 +258,7 @@ def multigraded_betti_reference(
     for b in subset_lcm_lattice(ideal):
         faces = koszul_slice_faces(ideal, b)
         for d, r in reduced_homology_of_face_sets(faces, field).items():
-            table[(d + 1, b)] = r
+            table[(d + 1, Monomial.from_dense(ideal.variables, b))] = r
     return table
 
 
@@ -309,9 +329,20 @@ def compare_tables(a, b) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def generator_degrees(table) -> dict[int, int]:
+    """The row beta_{0,j}: {degree j: number of minimal generators}."""
+    return {j: r for (i, j), r in sorted(table.entries.items()) if i == 0 and r}
+
+
+def table_regularity_witness(table) -> tuple[int, int]:
+    """The lexicographically least (i, j) achieving the table's regularity."""
+    reg = table.regularity()
+    return min((i, j) for (i, j), r in table.entries.items() if r and j - i == reg)
+
+
 def has_linear_resolution(table) -> bool:
     """All generators in one degree d and beta_{i,j} = 0 unless j = d + i."""
-    degs = table.generator_degrees()
+    degs = generator_degrees(table)
     if len(degs) != 1:
         return False
     d = next(iter(degs))
@@ -370,7 +401,7 @@ def k_polynomial_reference(ideal: MonomialIdeal) -> dict[tuple[int, ...], int]:
 
 
 def contains_ideal(ideal: MonomialIdeal, other: MonomialIdeal) -> bool:
-    return all(ideal.contains_monomial(g) for g in other.generators)
+    return all(in_ideal(ideal, g) for g in gens_of(other))
 
 
 def colon_by_ideal(ideal: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -389,7 +420,7 @@ def restrict_to_variables(ideal: MonomialIdeal, indices: Iterable[int]) -> Monom
     allowed = frozenset(indices)
     return MonomialIdeal(
         ideal.variables,
-        (g for g in ideal.generators if g.support <= allowed),
+        (g for g in ideal.generators if support([g.dense()]) <= allowed),
     )
 
 
@@ -402,18 +433,14 @@ def private_variable_regularity(ideal: MonomialIdeal) -> int | None:
     """
     if ideal.is_zero:
         raise ZeroIdealError("regularity of the zero ideal is undefined")
-    if not ideal.is_squarefree:
+    gens = gens_of(ideal)
+    if max(map(max, gens)) > 1:
         raise NotSquarefreeError("private-variable regularity needs a squarefree ideal")
-    gens = ideal.generators
-    for g in gens:
-        private = False
-        for v in g.support:
-            if all(other is g or v not in other.support for other in gens):
-                private = True
-                break
-        if not private:
+    for k, g in enumerate(gens):
+        others = support(gens[:k] + gens[k + 1:])
+        if support([g]) <= others:
             return None
-    return len(ideal.support) - len(gens) + 1
+    return len(support(gens)) - len(gens) + 1
 
 
 def decompose_cycle_generator(graph: WeightedDigraph, t: int, m: Monomial) -> tuple[int, ...]:

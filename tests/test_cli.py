@@ -6,7 +6,6 @@ import pytest
 
 from edgereg.betti import DEFAULT_LATTICE_CAP, betti_table
 from edgereg.cli import _ideal_from_args, build_parser, main
-from edgereg.digraph import save_graph
 from edgereg.verify import (
     REFERENCE_EXAMPLES,
     CampaignSpec,
@@ -15,14 +14,15 @@ from edgereg.verify import (
     square_pendant_light_path,
 )
 
+from conftest import write_graph
+from oracles import table_regularity_witness
+
 
 @pytest.fixture
 def triangle_path(tmp_path):
     from edgereg.digraph import make_cycle
 
-    path = str(tmp_path / "c3.json")
-    save_graph(make_cycle([2, 2, 2]), path)
-    return path
+    return write_graph(make_cycle([2, 2, 2]), tmp_path / "c3.json")
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -109,13 +109,12 @@ class TestRegCommand:
             ("--graph", triangle_path, "--power", "2"),
         ]
         for ex in REFERENCE_EXAMPLES:
-            path = str(tmp_path / f"{ex.name}.json")
-            save_graph(ex.build(), path)
+            path = write_graph(ex.build(), tmp_path / f"{ex.name}.json")
             cases.append(("--graph", path, "--power", str(ex.t)))
         for case in cases:
             argv = ["reg", *case, "--field", field]
             table = betti_table(_ideal_from_args(build_parser().parse_args(argv)), field)
-            i, j = table.regularity_witness()
+            i, j = table_regularity_witness(table)
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             assert out == f"{table.regularity()}\nwitness: i={i} j={j}\n"
@@ -174,8 +173,7 @@ class TestFormulaCommand:
         assert data["value"] == 7 and data["admissible"] is True
 
     def test_auto_on_reoriented_cycle(self, capsys, tmp_path):
-        path = str(tmp_path / "g.json")
-        save_graph(cycle5_double_out(), path)
+        path = write_graph(cycle5_double_out(), tmp_path / "g.json")
         code, out, _ = run_cli(capsys, "formula", "--graph", path, "--t", "2")
         data = json.loads(out)
         assert code == 0
@@ -183,8 +181,7 @@ class TestFormulaCommand:
         assert data["family"] == "Other"
 
     def test_explicit_family_mismatch(self, capsys, tmp_path):
-        path = str(tmp_path / "g.json")
-        save_graph(square_pendant_light_path(), path)
+        path = write_graph(square_pendant_light_path(), tmp_path / "g.json")
         code, _, err = run_cli(capsys, "formula", "--graph", path, "--family", "cycle")
         assert code == 2 and "Unicyclic" in err
 
@@ -302,6 +299,9 @@ class TestBadInput:
             ("verify", "campaign", "--weights", "2", "--n", "3,3", "--t", "1,1"),
             ("verify", "campaign", "--n", "3", "--t", "1,2,1"),
             ("verify", "structure", "--n", "3,4,3", "--t", "1"),
+            ("verify", "campaign", "--n", "3", "--t", "0"),
+            ("verify", "campaign", "--n", "3", "--t", "1", "--weights", "0,2"),
+            ("verify", "structure", "--n", "3", "--t", "0"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):

@@ -13,7 +13,6 @@ from edgereg.digraph import (
     classify,
     load_graph,
     make_cycle,
-    save_graph,
 )
 from edgereg.errors import EmptyGraphError, FamilyMismatchError, GraphFormatError
 from edgereg.formulas import formula_cycle, formula_forest, formula_unicyclic
@@ -23,6 +22,7 @@ from edgereg.verify import (
     square_pendant_light_path,
 )
 
+from conftest import write_graph
 from oracles import family_reference
 
 
@@ -241,9 +241,7 @@ def test_raising_weights_is_monotone(weights):
 class TestJsonIO:
     def test_round_trip(self, tmp_path):
         g = square_pendant_light_path()
-        path = str(tmp_path / "g.json")
-        save_graph(g, path)
-        assert load_graph(path) == g
+        assert load_graph(write_graph(g, tmp_path / "g.json")) == g
 
     def test_loader_normalization_report(self, tmp_path):
         path = tmp_path / "g.json"

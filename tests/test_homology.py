@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from edgereg import homology
 from edgereg.errors import ResourceCapError
 from edgereg.homology import (
+    _covered_homology_cached,
     boundary_rank_table,
     covered_homology,
     enumerate_union_faces,
-    homology_from_faces,
     maximal_masks,
 )
 
@@ -38,11 +38,6 @@ class TestToyComplexes:
     def test_empty_face_only(self):
         assert homology_of_facets([]) == {-1: 1}
         assert homology_of_facets([set()]) == {-1: 1}
-
-    def test_void_complex(self):
-        # the covered form always has the empty face; only an explicit
-        # face list can be void
-        assert homology_from_faces(set(), "Q") == {}
 
     def test_hollow_tetrahedron_is_a_sphere(self):
         facets = [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}]
@@ -72,7 +67,7 @@ class TestFieldDependence:
     def test_projective_plane_faces_keep_their_torsion_on_the_pair(self, field, expected):
         # the nerve reduction never sees these faces: only the pair (K, st v) does
         faces = enumerate_union_faces([sum(1 << v for v in f) for f in RP2_FACETS])
-        assert homology_from_faces(faces, field) == expected
+        assert dict(_covered_homology_cached(tuple(maximal_masks(faces)), field)) == expected
 
 
 class TestPairWithTheApexStar:
@@ -210,7 +205,9 @@ def test_homology_from_faces_matches_oracle(family, field):
     face_sets = {
         frozenset(i for i in range(nverts) if (f >> i) & 1) for f in faces
     }
-    assert homology_from_faces(faces, field) == reduced_homology_of_face_sets(face_sets, field)
+    # the pair (K, st v) on the maximal faces, without the nerve reduction
+    homology = dict(_covered_homology_cached(tuple(maximal_masks(faces)), field))
+    assert homology == reduced_homology_of_face_sets(face_sets, field)
 
 
 def test_cone_is_detected_without_enumeration():

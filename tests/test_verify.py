@@ -308,6 +308,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=rf"^{field}= must be a plain int"):
             small_cycle_spec(**{field: value})
 
+    @pytest.mark.parametrize("field, flag, values", [
+        ("t_values", "t", (0,)), ("t_values", "t", (2, -1)), ("weight_alphabet", "weights", (0, 2)),
+    ])
+    def test_entries_below_one_name_their_flag(self, field, flag, values):
+        with pytest.raises(ValueError, match=rf"^--{flag} \({field}=\) entries must be at least 1"):
+            small_cycle_spec(**{field: values})
+
     def test_graph_builder_validates_weights(self):
         with pytest.raises(ValueError):
             pendant_path_graph(1, [2, 2, 2])
