@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -46,12 +45,14 @@ def _check_cap(lattice_cap: int) -> None:
 # -- lcm lattice ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LcmLattice:
     """All least common multiples of nonempty generator subsets, as
     exponent tuples sorted by (degree, exponents)."""
 
-    multidegrees: tuple[tuple[int, ...], ...]
+    __slots__ = ("multidegrees",)
+
+    def __init__(self, multidegrees: tuple[tuple[int, ...], ...]):
+        self.multidegrees = multidegrees
 
     @property
     def size(self) -> int:

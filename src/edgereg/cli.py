@@ -20,12 +20,6 @@ from .errors import EdgeRegError
 from .formulas import FORMULA_BY_FAMILY, formula_for_family
 from .ideals import MonomialIdeal, parse_ideal, power
 from .ring import VariableSet
-from .verify import (
-    CampaignSpec,
-    run_campaign,
-    run_reference_examples,
-    run_structure_checks,
-)
 
 
 def _load_graph_arg(path: str) -> WeightedDigraph:
@@ -126,6 +120,9 @@ _SWEEP_DEFAULTS = {"family": "cycle", "n": None, "t": "1..2", "weights": "2,3",
 
 
 def cmd_verify(args) -> int:
+    # only verify loads the harness, so the other subcommands start faster
+    from .verify import CampaignSpec, run_campaign, run_reference_examples, run_structure_checks
+
     for flag in ("out", "csv"):
         if getattr(args, flag) == "":
             raise ValueError(f"--{flag} needs a file path, got an empty one")

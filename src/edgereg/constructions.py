@@ -12,7 +12,6 @@ here and cross-checked against direct colon computation in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -47,12 +46,13 @@ def _edge_vector(
     return tuple(exps)
 
 
-@dataclass(frozen=True)
 class EdgeGenerator:
     """The i-th cycle edge generator L_i = x_{i-1} * x_i^{w_i} (1-based)."""
 
-    index: int
-    monomial: Monomial
+    __slots__ = ("index", "monomial")
+
+    def __init__(self, index: int, monomial: Monomial):
+        self.index, self.monomial = index, monomial
 
 
 def _require_cycle(graph: WeightedDigraph) -> tuple[str, ...]:
@@ -94,10 +94,11 @@ def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
 class BasisEntry:
-    vector: tuple[int, ...]
-    monomial: Monomial
+    __slots__ = ("vector", "monomial")
+
+    def __init__(self, vector: tuple[int, ...], monomial: Monomial):
+        self.vector, self.monomial = vector, monomial
 
 
 class OrderedPowerBasis:
@@ -179,7 +180,6 @@ def edge_divides(
     return all(a <= b for a, b in zip(v1, v2))
 
 
-@dataclass(frozen=True)
 class ColonStructure:
     """Explicit form of the colon (J_i : L_i^(t)) past the i-th generator.
 
@@ -188,14 +188,14 @@ class ColonStructure:
     when the leading index is not 1 (the Q part is then zero).
     """
 
-    index: int
-    entry: BasisEntry
-    support_indices: tuple[int, ...]
-    p: int
-    q: int | None
-    k_part: MonomialIdeal
-    q_part: MonomialIdeal
-    tail: MonomialIdeal
+    __slots__ = ("index", "entry", "support_indices", "p", "q", "k_part", "q_part", "tail")
+
+    def __init__(
+        self, index: int, entry: BasisEntry, support_indices: tuple[int, ...], p: int,
+        q: int | None, k_part: MonomialIdeal, q_part: MonomialIdeal, tail: MonomialIdeal,
+    ):
+        self.index, self.entry, self.support_indices = index, entry, support_indices
+        self.p, self.q, self.k_part, self.q_part, self.tail = p, q, k_part, q_part, tail
 
     @property
     def colon_form(self) -> MonomialIdeal:
@@ -247,16 +247,7 @@ def build_colon_structure(graph: WeightedDigraph, t: int, i: int) -> ColonStruct
         q_part = ideal_sum(*terms)
 
     tail = MonomialIdeal(variables, [basis.entry(j).monomial for j in range(i + 1, r + 1)])
-    return ColonStructure(
-        index=i,
-        entry=entry,
-        support_indices=support,
-        p=p,
-        q=q,
-        k_part=k_part,
-        q_part=q_part,
-        tail=tail,
-    )
+    return ColonStructure(i, entry, support, p, q, k_part, q_part, tail)
 
 
 def betti_split_power(graph: WeightedDigraph, t: int) -> tuple[MonomialIdeal, MonomialIdeal]:

@@ -20,7 +20,6 @@ on the instance and reported by the JSON loader on a diagnostic stream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -177,7 +176,6 @@ def load_graph(path: str) -> WeightedDigraph:
 # -- family analysis ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FamilyTag:
     """The family, the closed form the underlying shape takes, and how the
     orientation breaks it.
@@ -188,10 +186,11 @@ class FamilyTag:
     violations of the shape's closed form.
     """
 
-    kind: Family
-    cycle: tuple[str, ...] = ()
-    shape: str | None = None
-    violations: tuple[str, ...] = ()
+    __slots__ = ("kind", "cycle", "shape", "violations")
+
+    def __init__(self, kind: Family, cycle: tuple[str, ...] = (), shape: str | None = None,
+                 violations: tuple[str, ...] = ()):
+        self.kind, self.cycle, self.shape, self.violations = kind, cycle, shape, violations
 
 
 def _count_components(graph: WeightedDigraph) -> int:

@@ -14,8 +14,6 @@ instances is the point of the verification harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .digraph import Family, FamilyTag, WeightedDigraph, classify, weight_violations
 from .errors import FamilyMismatchError
 
@@ -23,28 +21,21 @@ from .errors import FamilyMismatchError
 MAX_POWER = 64
 
 
-@dataclass(frozen=True)
 class FormulaResult:
-    value: int
-    family: Family
-    sum_weights: int
-    n_edges: int
-    max_weight: int
-    t: int
-    admissible: bool
-    violations: tuple[str, ...]
+    __slots__ = ("value", "family", "sum_weights", "n_edges", "max_weight", "t", "admissible",
+                 "violations")
+
+    def __init__(self, value: int, family: Family, sum_weights: int, n_edges: int,
+                 max_weight: int, t: int, admissible: bool, violations: tuple[str, ...]):
+        self.value, self.family, self.sum_weights = value, family, sum_weights
+        self.n_edges, self.max_weight, self.t = n_edges, max_weight, t
+        self.admissible, self.violations = admissible, violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "family": self.family.value,
-            "sum_weights": self.sum_weights,
-            "n_edges": self.n_edges,
-            "max_weight": self.max_weight,
-            "t": self.t,
-            "admissible": self.admissible,
-            "violations": list(self.violations),
-        }
+        """Every slot, the family as its value and the violations as a list."""
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["family"], out["violations"] = self.family.value, list(self.violations)
+        return out
 
 
 def closed_form_value(sum_weights: int, n_edges: int, max_weight: int, t: int) -> int:

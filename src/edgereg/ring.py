@@ -12,7 +12,7 @@ import re
 import struct
 from itertools import chain
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import DegreeCapError, ParseError, VariableSetMismatchError
 
@@ -165,32 +165,22 @@ def _check_exponents(n: int, items: Iterable[tuple[int, int]]) -> None:
 class Monomial:
     """A monomial stored as its dense exponent tuple over the variable set.
 
-    Immutable; the all-zero tuple is the unit monomial 1.
+    Immutable; the all-zero tuple is the unit monomial 1.  Built by
+    :meth:`from_dense`, :meth:`unit` or :func:`parse_monomial`.
     """
 
     __slots__ = ("_vars", "_exps", "_degree", "_hash")
 
-    def __init__(self, variables: VariableSet, exponents: Mapping[int, int]):
-        items = exponents.items()
-        _check_exponents(len(variables), items)
-        exps = [0] * len(variables)
-        for idx, e in items:
-            if e:
-                exps[idx] = e
-        self._set(variables, tuple(exps))
-
-    def _set(self, variables: VariableSet, exps: tuple[int, ...]) -> "Monomial":
-        degree = sum(exps)
-        if degree > DEGREE_CAP:
-            raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
-        self._vars, self._exps, self._degree = variables, exps, degree
-        self._hash = hash((variables, exps))
-        return self
-
     @classmethod
     def _new(cls, variables: VariableSet, exps: tuple[int, ...]) -> "Monomial":
         """A monomial from a tuple of nonnegative ints, one per variable."""
-        return object.__new__(cls)._set(variables, exps)
+        degree = sum(exps)
+        if degree > DEGREE_CAP:
+            raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
+        self = object.__new__(cls)
+        self._vars, self._exps, self._degree = variables, exps, degree
+        self._hash = hash((variables, exps))
+        return self
 
     @classmethod
     def unit(cls, variables: VariableSet) -> "Monomial":

@@ -9,12 +9,10 @@ so identical (spec, seed) runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator
@@ -48,31 +46,35 @@ _MIN_VERTICES = {"cycle": 3, "forest": 2, "unicyclic": 4}
 class _Record:
     """JSON form shared by every record type.
 
-    Every dataclass field is written, tuples as lists; ``elapsed_s`` is
-    rounded to microseconds and left out when timings are not wanted.
+    Every slot is written in its declared order, tuples as lists;
+    ``elapsed_s`` is rounded to microseconds and left out when timings are
+    not wanted.
     """
+
+    __slots__ = ()
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "elapsed_s":
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if name == "elapsed_s":
                 if not include_timings:
                     continue
                 value = round(value, 6)
             elif isinstance(value, tuple):
                 value = list(value)
-            out[f.name] = value
+            out[name] = value
         return out
 
 
 class _Report:
     """JSON form shared by every report type.
 
-    A report is its version, its ``kind``, its own dataclass fields other
-    than ``records``, its summary when it has one, and its records.
+    A report is its version, its ``kind``, its own slots other than
+    ``records``, its summary when it has one, and its records.
     """
 
+    __slots__ = ()
     kind = ""
 
     def summary(self) -> dict | None:
@@ -80,9 +82,9 @@ class _Report:
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
         out = {"report_version": REPORT_VERSION, "kind": self.kind}
-        for f in fields(self):
-            if f.name != "records":
-                out[f.name] = getattr(self, f.name)
+        for name in self.__slots__:
+            if name != "records":
+                out[name] = getattr(self, name)
         summary = self.summary()
         if summary is not None:
             out["summary"] = summary
@@ -102,26 +104,27 @@ class _Report:
 # -- campaign specification ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CampaignSpec:
-    """Deterministic description of a verification campaign."""
+    """Deterministic description of a verification campaign, checked whole
+    when it is built."""
 
-    family: str
-    n_values: tuple[int, ...]
-    t_values: tuple[int, ...]
-    weight_alphabet: tuple[int, ...] = (2, 3)
-    seed: int = 0
-    exhaustive_cap: int = 16
-    sample_size: int = 10
-    field: str = "Q"
-    lattice_cap: int = DEFAULT_LATTICE_CAP
-    workers: int = 1
-    # raw-ideal family parameters
-    raw_max_variables: int = 4
-    raw_max_generators: int = 4
-    raw_max_exponent: int = 3
+    __slots__ = ("family", "n_values", "t_values", "weight_alphabet", "seed", "exhaustive_cap",
+                 "sample_size", "field", "lattice_cap", "workers",
+                 # raw-ideal family parameters
+                 "raw_max_variables", "raw_max_generators", "raw_max_exponent")
 
-    def __post_init__(self):
+    def __init__(
+        self, family: str, n_values: tuple[int, ...], t_values: tuple[int, ...],
+        weight_alphabet: tuple[int, ...] = (2, 3), seed: int = 0, exhaustive_cap: int = 16,
+        sample_size: int = 10, field: str = "Q", lattice_cap: int = DEFAULT_LATTICE_CAP,
+        workers: int = 1, raw_max_variables: int = 4, raw_max_generators: int = 4,
+        raw_max_exponent: int = 3,
+    ):
+        self.family, self.n_values, self.t_values = family, n_values, t_values
+        self.weight_alphabet, self.seed, self.exhaustive_cap = weight_alphabet, seed, exhaustive_cap
+        self.sample_size, self.field, self.lattice_cap = sample_size, field, lattice_cap
+        self.workers, self.raw_max_variables = workers, raw_max_variables
+        self.raw_max_generators, self.raw_max_exponent = raw_max_generators, raw_max_exponent
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         for name in ("seed", "exhaustive_cap", "sample_size", "workers", "lattice_cap",
@@ -150,34 +153,34 @@ class CampaignSpec:
             raise ValueError(f"{self.family} members need n >= {least}, got {self.n_values}")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
-@dataclass(frozen=True)
 class VerificationRecord(_Record):
-    family: str
-    instance: str
-    n: int
-    t: int
-    weights: tuple[int, ...]
-    field: str
-    formula_value: int | None = None
-    admissible: bool | None = None
-    violations: tuple[str, ...] = ()
-    engine_value: int | None = None
-    match: bool | None = None
-    skipped: str | None = None
-    elapsed_s: float = 0.0
+    __slots__ = ("family", "instance", "n", "t", "weights", "field", "formula_value",
+                 "admissible", "violations", "engine_value", "match", "skipped", "elapsed_s")
+
+    def __init__(
+        self, family: str, instance: str, n: int, t: int, weights: tuple[int, ...], field: str,
+        formula_value: int | None = None, admissible: bool | None = None,
+        violations: tuple[str, ...] = (), engine_value: int | None = None,
+        match: bool | None = None, skipped: str | None = None, elapsed_s: float = 0.0,
+    ):
+        self.family, self.instance, self.n, self.t = family, instance, n, t
+        self.weights, self.field, self.formula_value = weights, field, formula_value
+        self.admissible, self.violations, self.engine_value = admissible, violations, engine_value
+        self.match, self.skipped, self.elapsed_s = match, skipped, elapsed_s
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(VerificationRecord))
+CSV_COLUMNS = VerificationRecord.__slots__
 
 
-@dataclass
 class CampaignReport(_Report):
-    spec: dict
-    records: list[VerificationRecord]
+    __slots__ = ("spec", "records")
     kind = "campaign"
+
+    def __init__(self, spec: dict, records: list[VerificationRecord]):
+        self.spec, self.records = spec, records
 
     def summary(self) -> dict:
         records = self.records
@@ -195,6 +198,9 @@ class CampaignReport(_Report):
         return 1 if s["mismatches"] else 3 if s["skipped"] else 0
 
     def to_csv(self) -> str:
+        import csv  # only CSV output pays for these imports
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -327,15 +333,15 @@ def _family_members(spec: CampaignSpec, label: str = "") -> Iterator[tuple]:
                 yield f"cycle n={n} w={weights}", weights, make_cycle(list(weights)), None
 
 
-@dataclass(frozen=True)
 class CampaignInstance:
     """One family member at one power t; ``ideal`` is set for raw ideals only."""
 
-    descriptor: str
-    t: int
-    weights: tuple[int, ...]
-    graph: WeightedDigraph | None
-    ideal: MonomialIdeal | None
+    __slots__ = ("descriptor", "t", "weights", "graph", "ideal")
+
+    def __init__(self, descriptor: str, t: int, weights: tuple[int, ...],
+                 graph: WeightedDigraph | None, ideal: MonomialIdeal | None):
+        self.descriptor, self.t, self.weights = descriptor, t, weights
+        self.graph, self.ideal = graph, ideal
 
     @property
     def n(self) -> int:
@@ -476,29 +482,34 @@ REFERENCE_EXAMPLES: tuple[ReferenceExample, ...] = (
 )
 
 
-@dataclass(frozen=True)
 class ReferenceRecord(_Record):
-    name: str
-    family: str
-    t: int
-    expected_engine: int
-    expected_formula: int
-    elapsed_s: float
-    ok: bool = False
-    engine_value: int | None = None
-    formula_value: int | None = None
-    admissible: bool | None = None
-    violations: tuple[str, ...] = ()
-    skipped: str | None = None
-    # set only when the GF(2) regularity disagrees with the Q value
-    engine_value_gf2: int | None = None
+    """``engine_value_gf2`` is set only when the GF(2) regularity disagrees
+    with the Q value."""
+
+    __slots__ = ("name", "family", "t", "expected_engine", "expected_formula", "elapsed_s",
+                 "ok", "engine_value", "formula_value", "admissible", "violations", "skipped",
+                 "engine_value_gf2")
+
+    def __init__(
+        self, name: str, family: str, t: int, expected_engine: int, expected_formula: int,
+        elapsed_s: float, ok: bool = False, engine_value: int | None = None,
+        formula_value: int | None = None, admissible: bool | None = None,
+        violations: tuple[str, ...] = (), skipped: str | None = None,
+        engine_value_gf2: int | None = None,
+    ):
+        self.name, self.family, self.t = name, family, t
+        self.expected_engine, self.expected_formula = expected_engine, expected_formula
+        self.elapsed_s, self.ok, self.engine_value = elapsed_s, ok, engine_value
+        self.formula_value, self.admissible, self.violations = formula_value, admissible, violations
+        self.skipped, self.engine_value_gf2 = skipped, engine_value_gf2
 
 
-@dataclass
 class ReferenceReport(_Report):
-    records: list[ReferenceRecord]
-    field: str
+    __slots__ = ("records", "field")
     kind = "reference-examples"
+
+    def __init__(self, records: list[ReferenceRecord], field: str):
+        self.records, self.field = records, field
 
     def exit_code(self) -> int:
         """1 on a failure, else 3 on a capped skip, else 0."""
@@ -544,23 +555,22 @@ def run_reference_examples(
 # -- structure checks ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StructureRecord(_Record):
-    n: int
-    t: int
-    weights: tuple[int, ...]
-    check: str
-    checked: int
-    failures: int
-    details: tuple[str, ...]
-    elapsed_s: float
+    __slots__ = ("n", "t", "weights", "check", "checked", "failures", "details", "elapsed_s")
+
+    def __init__(self, n: int, t: int, weights: tuple[int, ...], check: str, checked: int,
+                 failures: int, details: tuple[str, ...], elapsed_s: float):
+        self.n, self.t, self.weights, self.check = n, t, weights, check
+        self.checked, self.failures = checked, failures
+        self.details, self.elapsed_s = details, elapsed_s
 
 
-@dataclass
 class StructureReport(_Report):
-    spec: dict
-    records: list[StructureRecord]
+    __slots__ = ("spec", "records")
     kind = "structure"
+
+    def __init__(self, spec: dict, records: list[StructureRecord]):
+        self.spec, self.records = spec, records
 
     def exit_code(self) -> int:
         return 1 if any(r.failures for r in self.records) else 0

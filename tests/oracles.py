@@ -18,7 +18,7 @@ from edgereg.constructions import build_colon_structure, ordered_power_basis
 from edgereg.digraph import WeightedDigraph, classify
 from edgereg.errors import EdgeRegError, ResourceCapError, ZeroIdealError
 from edgereg.ideals import MonomialIdeal, colon_by_monomial, intersect
-from edgereg.ring import Monomial, _Packing
+from edgereg.ring import Monomial
 
 
 class NotSquarefreeError(EdgeRegError, ValueError):
@@ -190,18 +190,17 @@ def mv_candidates_reference(
     least depth that emits b.
 
     Every node, the root included, lists its generators in ascending lex
-    order, the order of their packed ints, as ``betti.regularity_witness``
-    builds them.  Any order gives a valid tree, but the emitted
-    multidegrees and their depths depend on it.  Nodes are
-    walked level by level, and a node whose generators were met before is
-    skipped: its subtree emits the same multidegrees as the first copy's,
-    none shallower.  More than ``cap`` distinct nodes raise
-    ResourceCapError.
+    order of their exponent tuples, which is the order of the packed ints
+    ``betti.regularity_witness`` builds them in.  Any order gives a valid
+    tree, but the emitted multidegrees and their depths depend on it.  The
+    joins and divisibility tests here are plain tuple arithmetic, so they
+    share no code with the packed kernel.  Nodes are walked level by level,
+    and a node whose generators were met before is skipped: its subtree
+    emits the same multidegrees as the first copy's, none shallower.  More
+    than ``cap`` distinct nodes raise ResourceCapError.
     """
-    pk = _Packing(len(gens[0]), gens)
-    guards, shift = pk.guards, pk.shift
-    root = tuple(sorted(map(pk.pack, gens)))
-    depth: dict[int, int] = {}
+    root = tuple(sorted(gens))
+    depth: dict[tuple[int, ...], int] = {}
     seen = {root}
     level = [root]
     d = 0
@@ -212,17 +211,9 @@ def mv_candidates_reference(
                 depth.setdefault(m, d)
                 if not k:
                     continue
-                joins = set()
-                for a in node[:k]:  # the packed lcm, inlined
-                    c = guards & ~((a | guards) - m)
-                    joins.add(a ^ ((m ^ a) & (c - (c >> shift))))
-                kept: list[int] = []
-                for b in sorted(joins):  # divisors first
-                    bg = b | guards
-                    for g in kept:
-                        if (bg - g) & guards == guards:
-                            break
-                    else:
+                kept: list[tuple[int, ...]] = []
+                for b in sorted({tuple(map(max, a, m)) for a in node[:k]}):  # divisors first
+                    if not any(divides(g, b) for g in kept):
                         kept.append(b)
                 child = tuple(kept)
                 if child not in seen:
@@ -235,7 +226,7 @@ def mv_candidates_reference(
                         )
         level = children
         d += 1
-    return {pk.unpack(b): e for b, e in depth.items()}
+    return depth
 
 
 def koszul_slice_faces(ideal: MonomialIdeal, b: tuple[int, ...]) -> set[frozenset]:

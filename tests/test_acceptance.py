@@ -249,7 +249,7 @@ def test_criterion_7_regularity_lemmas():
     # principal ideals: regularity equals the generator degree
     vs = VariableSet(["x"])
     for d in range(1, 8):
-        assert regularity(MonomialIdeal(vs, [Monomial(vs, {0: d})])) == d
+        assert regularity(MonomialIdeal(vs, [Monomial.from_dense(vs, (d,))])) == d
 
     # disjoint-support additivity, 20 seeded cases
     for k in range(20):
@@ -270,7 +270,7 @@ def test_criterion_7_regularity_lemmas():
         a = random_monomial_ideal(random.Random(f"acceptance-mul:{k}"), max_variables=3)
         wide = VariableSet(list(a.variables.names) + ["u"])
         d = 1 + k % 4
-        u = Monomial(wide, {len(a.variables): d})
+        u = Monomial.from_dense(wide, (0,) * len(a.variables) + (d,))
         scaled = MonomialIdeal(
             wide, [u * Monomial.from_dense(wide, g.dense() + (0,)) for g in a.generators]
         )

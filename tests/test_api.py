@@ -2,15 +2,18 @@
 
 Every public module-level name of the package must be read somewhere
 other than its own definition: in the package, the scripts, the benchmark
-or ``pyproject.toml``.  Paths that only the tests use belong in
-``tests/oracles.py``.  The package ``__init__`` re-exports nothing, so a
-re-export cannot stand in for a caller.
+or ``pyproject.toml``.  So must every method and property of a package
+class, and every constructor it defines must be called.  Paths that only
+the tests use belong in ``tests/oracles.py``.  The package ``__init__``
+re-exports nothing, so a re-export cannot stand in for a caller.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,3 +66,59 @@ def test_the_package_re_exports_nothing():
     body = ast.parse((PACKAGE / "__init__.py").read_text()).body
     assert not [node for node in body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert {name for node in body for name in _defined(node)} <= {"__version__"}
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _overrides(module: str, cls: str, name: str) -> bool:
+    """Does the class override a member of a base outside the package, which
+    the base's own code calls (``argparse.ArgumentParser.error``, say)?"""
+    runtime = getattr(importlib.import_module(f"edgereg.{module}"), cls)
+    return any(
+        name in vars(base) for base in runtime.__mro__[1:]
+        if not base.__module__.startswith("edgereg")
+    )
+
+
+def test_every_class_member_has_a_caller():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    reads = Counter(
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    )
+    called = {
+        _callee(node) for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    classes = [
+        (path.stem, node) for path, tree in trees.items() if path.parent == PACKAGE
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    unused = []
+    for module, klass in classes:
+        # a constructor runs when its class is called, when a subclass that
+        # keeps it is called, or through cls(...) in a classmethod
+        constructs = {klass.name} | {
+            sub.name for _, sub in classes
+            if klass.name in {getattr(b, "id", None) for b in sub.bases}
+            and not any(getattr(f, "name", None) == "__init__" for f in sub.body)
+        }
+        own_calls = {_callee(n) for n in ast.walk(klass) if isinstance(n, ast.Call)}
+        for member in klass.body:
+            if not isinstance(member, ast.FunctionDef):
+                continue
+            name = member.name
+            if name == "__init__":
+                used = bool(constructs & called) or "cls" in own_calls
+            elif name.startswith("__") and name.endswith("__"):
+                continue  # dunders run through syntax: ==, len, str, *
+            else:
+                # a read inside the member's own body is not a caller
+                own = sum(isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(member))
+                used = reads[name] > own or _overrides(module, klass.name, name)
+            if not used:
+                unused.append(f"{module}.{klass.name}.{name}")
+    assert not unused, f"class members without a caller outside tests/: {sorted(unused)}"

@@ -591,7 +591,7 @@ class TestRegularityLemmas:
             lifted = MonomialIdeal(
                 wide, [Monomial.from_dense(wide, g.dense() + (0, 0)) for g in a.generators]
             )
-            u = Monomial(wide, {n: 1 + k % 3, n + 1: 1})
+            u = Monomial.from_dense(wide, (0,) * n + (1 + k % 3, 1))
             scaled = MonomialIdeal(wide, [u * g for g in lifted.generators])
             assert regularity(scaled) == regularity(a) + u.degree
 
@@ -676,7 +676,7 @@ class TestFieldComparison:
             trio for trio in combinations(range(6), 3) if trio not in facets
         ]
         ideal = MonomialIdeal(
-            vs, [Monomial(vs, {a: 1, b: 1, c: 1}) for a, b, c in nonfaces]
+            vs, [Monomial.from_dense(vs, [int(j in trio) for j in range(6)]) for trio in nonfaces]
         )
         over_q = betti_table(ideal)
         over_2 = betti_table(ideal, field="GF2")

@@ -146,7 +146,7 @@ class TestLatticeCap:
             seen["cap"] = spec.lattice_cap
             return original(spec)
 
-        monkeypatch.setattr("edgereg.cli.run_campaign", spy)
+        monkeypatch.setattr("edgereg.verify.run_campaign", spy)
         code, _, _ = run_cli(
             capsys, "verify", "campaign", "--n", "3", "--t", "2", "--lattice-cap", "3",
         )
@@ -230,7 +230,7 @@ class TestVerifyCommand:
             spec_holder["spec"] = spec
             return original(spec)
 
-        monkeypatch.setattr("edgereg.cli.run_campaign", spy)
+        monkeypatch.setattr("edgereg.verify.run_campaign", spy)
         code, _, _ = run_cli(
             capsys, "verify", "campaign", "--family", "cycle", "--n", "3", "--t", "1",
         )

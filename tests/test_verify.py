@@ -203,6 +203,57 @@ class TestCsv:
         assert rows[0]["family"] == "cycle"
         assert rows[0]["match"] == "True"
 
+    def test_header_is_the_record_column_order(self):
+        header = next(csv.reader(io.StringIO(CampaignReport(spec={}, records=[]).to_csv())))
+        assert tuple(header) == (
+            "family", "instance", "n", "t", "weights", "field", "formula_value", "admissible",
+            "violations", "engine_value", "match", "skipped", "elapsed_s",
+        )
+
+
+class TestRecordForm:
+    """Records and specs are plain slots classes; their JSON is written in
+    the order of their slots, which is the order of their constructor
+    arguments.  A worker pool pickles them: see test_workers_match_serial."""
+
+    SPEC = CampaignSpec(family="cycle", n_values=(3,), t_values=(1,))
+    RECORDS = (
+        VerificationRecord(family="cycle", instance="c3", n=3, t=1, weights=(2, 2, 2),
+                           field="Q", elapsed_s=0.12345678),
+        ReferenceRecord(name="r", family="Other", t=2, expected_engine=14, expected_formula=13,
+                        elapsed_s=0.5),
+        verify.StructureRecord(n=3, t=1, weights=(2, 2, 2), check="basis", checked=3,
+                               failures=0, details=(), elapsed_s=0.25),
+    )
+
+    def test_keyword_records_with_defaults_serialize_as_before(self):
+        assert json.dumps(self.SPEC.to_json_dict()) == (
+            '{"family": "cycle", "n_values": [3], "t_values": [1], "weight_alphabet": [2, 3], '
+            '"seed": 0, "exhaustive_cap": 16, "sample_size": 10, "field": "Q", '
+            '"lattice_cap": 200000, "workers": 1, "raw_max_variables": 4, '
+            '"raw_max_generators": 4, "raw_max_exponent": 3}'
+        )
+        campaign, reference, structure = (json.dumps(r.to_json_dict()) for r in self.RECORDS)
+        assert campaign == (
+            '{"family": "cycle", "instance": "c3", "n": 3, "t": 1, "weights": [2, 2, 2], '
+            '"field": "Q", "formula_value": null, "admissible": null, "violations": [], '
+            '"engine_value": null, "match": null, "skipped": null, "elapsed_s": 0.123457}'
+        )
+        assert reference == (
+            '{"name": "r", "family": "Other", "t": 2, "expected_engine": 14, '
+            '"expected_formula": 13, "elapsed_s": 0.5, "ok": false, "engine_value": null, '
+            '"formula_value": null, "admissible": null, "violations": [], "skipped": null, '
+            '"engine_value_gf2": null}'
+        )
+        assert structure == (
+            '{"n": 3, "t": 1, "weights": [2, 2, 2], "check": "basis", "checked": 3, '
+            '"failures": 0, "details": [], "elapsed_s": 0.25}'
+        )
+        for r in self.RECORDS:
+            untimed = r.to_json_dict(include_timings=False)
+            assert "elapsed_s" not in untimed
+            assert untimed == {k: v for k, v in r.to_json_dict().items() if k != "elapsed_s"}
+
 
 class TestStructureChecks:
     def test_small_structure_sweep_posts_no_failures(self):
