@@ -88,11 +88,37 @@ class TestMonomial:
                 parse_monomial(bad, vs)
 
 
+def from_mapping(variables: VariableSet, exponents: dict) -> Monomial:
+    """A monomial from {index: exponent} pairs: the pairs go through the
+    engine's _check_exponents, the error path of from_dense, and the dense
+    tuple through from_dense."""
+    ring._check_exponents(len(variables), exponents.items())
+    return Monomial.from_dense(
+        variables, [exponents.get(i, 0) for i in range(len(variables))]
+    )
+
+
 class TestConstructorChecks:
     """from_dense refuses non-int, bool and negative exponents, a tuple of
-    the wrong length and a degree past the cap."""
+    the wrong length and a degree past the cap; _check_exponents refuses
+    the same exponents as (index, exponent) pairs, and an index out of
+    range."""
 
     VS = variable_set(2)
+
+    @pytest.mark.parametrize("exponents, error", [
+        ({0: 1.0}, TypeError),
+        ({0: "2"}, TypeError),
+        ({0: True}, TypeError),
+        ({1: False}, TypeError),
+        ({0: -1}, ValueError),
+        ({2: 1}, IndexError),
+        ({-1: 1}, IndexError),
+        ({0: ring.DEGREE_CAP, 1: 1}, DegreeCapError),
+    ])
+    def test_mapping(self, exponents, error):
+        with pytest.raises(error):
+            from_mapping(self.VS, exponents)
 
     @pytest.mark.parametrize("exps, error", [
         ((1.0, 0), TypeError),
@@ -109,6 +135,9 @@ class TestConstructorChecks:
     def test_dense(self, exps, error):
         with pytest.raises(error):
             Monomial.from_dense(self.VS, exps)
+
+    def test_zero_exponent_out_of_range_is_ignored(self):
+        assert from_mapping(self.VS, {5: 0}) == Monomial.unit(self.VS)
 
     def test_dense_is_the_stored_tuple(self):
         m = Monomial.from_dense(self.VS, [2, 0])
