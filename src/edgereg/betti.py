@@ -26,13 +26,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Sequence
-from functools import reduce
-from operator import or_
 
 from .errors import ResourceCapError, ZeroIdealError
 from .homology import FIELD_Q, _check_field, covered_homology
 from .ideals import MonomialIdeal
-from .ring import Monomial, VariableSet, _Packing
+from .ring import Monomial, _Packing
 
 DEFAULT_LATTICE_CAP = 200_000
 
@@ -75,10 +73,10 @@ def _lattice_tuples(gens: Sequence[tuple[int, ...]], cap: int) -> list[tuple[int
     return [pk.unpack(b) for b in sorted(lattice, key=lambda b: (b % mod, b))]
 
 
-def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattice:
+def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm lattice")
-    return LcmLattice(tuple(_lattice_tuples(ideal._exps, cap)))
+    return LcmLattice(tuple(_lattice_tuples(ideal._exps, DEFAULT_LATTICE_CAP)))
 
 
 # -- Betti tables ----------------------------------------------------------
@@ -87,19 +85,13 @@ def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLatt
 class BettiTable:
     """Graded and multigraded Betti numbers over a fixed coefficient field."""
 
-    __slots__ = ("variables", "field", "entries", "multigraded")
+    __slots__ = ("field", "entries", "multigraded")
 
-    def __init__(
-        self,
-        variables: VariableSet,
-        field: str,
-        multigraded: dict[tuple[int, Monomial], int],
-    ):
+    def __init__(self, field: str, multigraded: dict[tuple[int, Monomial], int]):
         entries: dict[tuple[int, int], int] = {}
         for (i, b), rank in multigraded.items():
             key = (i, b.degree)
             entries[key] = entries.get(key, 0) + rank
-        self.variables = variables
         self.field = field
         self.entries = entries
         self.multigraded = dict(multigraded)
@@ -184,25 +176,13 @@ def _slice_covers(masks: _Masks, b: tuple[int, ...]) -> list[int]:
     ``divisors & lt[j][b_j]``, span a full simplex, and these simplices
     cover the (nerve-dual) slice complex.  Lattice points and tree
     candidates are lcms of generators, so every b_j they carry is a key of
-    row j.  Any other exponent e takes the union of the row's masks at the
-    keys up to e.
+    row j; any other b raises KeyError.
     """
     le, lt = masks
-    try:
-        divisors = -1
-        for row, e in zip(le, b):
-            divisors &= row[e]
-        return [divisors & row[e] for row, e in zip(lt, b) if e]
-    except KeyError:
-        divisors = -1
-        for row, e in zip(le, b):
-            divisors &= _union_below(row, e + 1)
-        return [divisors & _union_below(row, e) for row, e in zip(le, b) if e]
-
-
-def _union_below(row: dict[int, int], e: int) -> int:
-    """The generators whose exponent is below e, from a row of ``le``."""
-    return reduce(or_, (mask for x, mask in row.items() if x < e), 0)
+    divisors = -1
+    for row, e in zip(le, b):
+        divisors &= row[e]
+    return [divisors & row[e] for row, e in zip(lt, b) if e]
 
 
 def _slice_betti(masks: _Masks, b: tuple[int, ...], field: str) -> dict[int, int]:
@@ -232,7 +212,7 @@ def betti_table(
             bm = Monomial.from_dense(ideal.variables, b)
             for i in sorted(ranks):
                 multigraded[(i, bm)] = ranks[i]
-    return BettiTable(ideal.variables, field, multigraded)
+    return BettiTable(field, multigraded)
 
 
 def regularity_witness(

@@ -33,9 +33,11 @@ def _load_graph_arg(path: str) -> WeightedDigraph:
 
 
 def _ideal_from_args(args) -> MonomialIdeal:
-    if args.graph:
+    if args.ideal is None:
+        if args.vars is not None:
+            raise ValueError("--vars applies to --ideal only")
         ideal = edge_ideal(_load_graph_arg(args.graph))
-    elif args.ideal:
+    else:
         if args.vars:
             names = [v.strip() for v in args.vars.split(",") if v.strip()]
         else:
@@ -45,8 +47,6 @@ def _ideal_from_args(args) -> MonomialIdeal:
                 if token not in names:
                     names.append(token)
         ideal = parse_ideal(args.ideal, VariableSet(names))
-    else:
-        raise EdgeRegError("provide --graph FILE or --ideal TEXT")
     return power(ideal, args.power)
 
 
@@ -207,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("reg", cmd_reg, "Castelnuovo-Mumford regularity with witness"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--graph")
-        p.add_argument("--ideal", help="ideal text, e.g. '(x1^2*x2, x2^3)'")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--graph")
+        source.add_argument("--ideal", help="ideal text, e.g. '(x1^2*x2, x2^3)'")
         p.add_argument("--vars", help="comma-separated variable order for --ideal")
         p.add_argument("--power", type=int, default=1)
         p.add_argument("--field", choices=("Q", "GF2"), default="Q")

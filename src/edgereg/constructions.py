@@ -46,31 +46,22 @@ def _edge_vector(
     return tuple(exps)
 
 
-class EdgeGenerator:
-    """The i-th cycle edge generator L_i = x_{i-1} * x_i^{w_i} (1-based)."""
-
-    __slots__ = ("index", "monomial")
-
-    def __init__(self, index: int, monomial: Monomial):
-        self.index, self.monomial = index, monomial
-
-
 def _require_cycle(graph: WeightedDigraph) -> tuple[str, ...]:
     tag = classify(graph)
     if tag.kind != Family.ORIENTED_CYCLE:
-        raise FamilyMismatchError(
-            f"expected an oriented cycle, got {tag.kind.value}", actual=tag.kind.value
-        )
+        raise FamilyMismatchError(f"expected an oriented cycle, got {tag.kind.value}")
     return tag.cycle
 
 
-def cycle_edge_generators(graph: WeightedDigraph) -> list[EdgeGenerator]:
-    """L_1..L_n in cycle order, starting from the first-declared vertex."""
+def cycle_edge_generators(graph: WeightedDigraph) -> list[Monomial]:
+    """The edge generators L_1..L_n, L_i = x_{i-1} * x_i^{w_i}, in cycle
+    order, starting from the first-declared vertex."""
     order = _require_cycle(graph)
     variables = graph.variable_set()
-    n = len(order)
-    vectors = [_edge_vector(graph, variables, order[i - 1], order[i]) for i in range(n)]
-    return [EdgeGenerator(i, Monomial.from_dense(variables, v)) for i, v in enumerate(vectors, 1)]
+    return [
+        Monomial.from_dense(variables, _edge_vector(graph, variables, order[i - 1], order[i]))
+        for i in range(len(order))
+    ]
 
 
 def _require_weights_at_least_two(graph: WeightedDigraph, order: tuple[str, ...]) -> list[int]:
@@ -108,7 +99,7 @@ class OrderedPowerBasis:
     exponent vectors over the edge generators.
     """
 
-    __slots__ = ("graph", "t", "entries", "_by_monomial", "edge_generators")
+    __slots__ = ("t", "entries", "_by_monomial", "edge_generators")
 
     def __init__(self, graph: WeightedDigraph, t: int):
         if t < 1:
@@ -123,13 +114,12 @@ class OrderedPowerBasis:
             m = unit
             for i, a in enumerate(vec):
                 if a:
-                    m = m * (gens[i].monomial ** a)
+                    m = m * (gens[i] ** a)
             entries.append(BasisEntry(vector=vec, monomial=m))
-        self.graph = graph
         self.t = t
         self.entries = tuple(entries)
         self.edge_generators = tuple(gens)
-        self._by_monomial = {e.monomial: i + 1 for i, e in enumerate(entries)}
+        self._by_monomial = {e.monomial: e.vector for e in entries}
         if len(self._by_monomial) != len(entries):
             raise AssertionError(
                 "edge-generator products collided; decomposition is not unique"
@@ -147,16 +137,13 @@ class OrderedPowerBasis:
             raise IndexError(f"basis index {i} out of range 1..{len(self.entries)}")
         return self.entries[i - 1]
 
-    def index_of(self, m: Monomial) -> int:
+    def vector_of(self, m: Monomial) -> tuple[int, ...]:
         try:
             return self._by_monomial[m]
         except KeyError:
             raise GeneratorMembershipError(
                 f"{m} is not a minimal generator of the power ideal (t={self.t})"
             ) from None
-
-    def vector_of(self, m: Monomial) -> tuple[int, ...]:
-        return self.entries[self.index_of(m) - 1].vector
 
 
 @lru_cache(maxsize=1024)
@@ -183,19 +170,15 @@ def edge_divides(
 class ColonStructure:
     """Explicit form of the colon (J_i : L_i^(t)) past the i-th generator.
 
-    ``support_indices`` lists the 1-based edge indices with positive
-    exponent in the i-th basis entry; ``tail`` is J_i.  ``q`` is None
-    when the leading index is not 1 (the Q part is then zero).
+    ``entry`` is the i-th basis entry and ``tail`` is J_i.  The Q part is
+    zero when the leading edge index of the entry is not 1.
     """
 
-    __slots__ = ("index", "entry", "support_indices", "p", "q", "k_part", "q_part", "tail")
+    __slots__ = ("entry", "k_part", "q_part", "tail")
 
-    def __init__(
-        self, index: int, entry: BasisEntry, support_indices: tuple[int, ...], p: int,
-        q: int | None, k_part: MonomialIdeal, q_part: MonomialIdeal, tail: MonomialIdeal,
-    ):
-        self.index, self.entry, self.support_indices = index, entry, support_indices
-        self.p, self.q, self.k_part, self.q_part, self.tail = p, q, k_part, q_part, tail
+    def __init__(self, entry: BasisEntry, k_part: MonomialIdeal, q_part: MonomialIdeal,
+                 tail: MonomialIdeal):
+        self.entry, self.k_part, self.q_part, self.tail = entry, k_part, q_part, tail
 
     @property
     def colon_form(self) -> MonomialIdeal:
@@ -207,7 +190,7 @@ def build_colon_structure(graph: WeightedDigraph, t: int, i: int) -> ColonStruct
     r = len(basis)
     if not 1 <= i <= r - 1:
         raise IndexError(f"colon structure index {i} out of range 1..{r - 1}")
-    gens = [e.monomial for e in basis.edge_generators]
+    gens = basis.edge_generators
     n = len(gens)
     variables = graph.variable_set()
 
@@ -228,7 +211,6 @@ def build_colon_structure(graph: WeightedDigraph, t: int, i: int) -> ColonStruct
     ]
     k_part = ideal_sum(head, *singles) if singles else head
 
-    q = None
     q_part = MonomialIdeal.zero(variables)
     if i1 == 1:
         ell = min(t, n // 2) - 1
@@ -247,7 +229,7 @@ def build_colon_structure(graph: WeightedDigraph, t: int, i: int) -> ColonStruct
         q_part = ideal_sum(*terms)
 
     tail = MonomialIdeal(variables, [basis.entry(j).monomial for j in range(i + 1, r + 1)])
-    return ColonStructure(i, entry, support, p, q, k_part, q_part, tail)
+    return ColonStructure(entry, k_part, q_part, tail)
 
 
 def betti_split_power(graph: WeightedDigraph, t: int) -> tuple[MonomialIdeal, MonomialIdeal]:

@@ -38,8 +38,7 @@ class WeightedDigraph:
     """Immutable weighted digraph with named vertices."""
 
     __slots__ = (
-        "_names", "_weights", "_edges", "_index",
-        "_out", "_in", "_normalizations", "_variables",
+        "_names", "_weights", "_edges", "_out", "_in", "_normalizations", "_variables",
     )
 
     def __init__(
@@ -84,7 +83,6 @@ class WeightedDigraph:
         self._names = tuple(vnames)
         self._weights = weights
         self._edges = tuple(edge_list)
-        self._index = {v: i for i, v in enumerate(vnames)}
         self._out = {v: tuple(hs) for v, hs in out_adj.items()}
         self._in = {v: tuple(ts) for v, ts in in_adj.items()}
         self._normalizations = tuple(normalizations)

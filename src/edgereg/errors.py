@@ -32,14 +32,8 @@ class EmptyGraphError(EdgeRegError, ValueError):
 
 
 class FamilyMismatchError(EdgeRegError, ValueError):
-    """Graph does not belong to the family the operation expects.
-
-    Carries the actual family so callers can report it.
-    """
-
-    def __init__(self, message: str, actual: str | None = None):
-        super().__init__(message)
-        self.actual = actual
+    """Graph does not belong to the family the operation expects; the
+    message names the family it does belong to."""
 
 
 class GeneratorMembershipError(EdgeRegError, ValueError):

@@ -75,8 +75,7 @@ def _predict(
     if tag is None:
         tag = classify(graph)
     if tag.shape != form:
-        actual = tag.kind.value
-        raise FamilyMismatchError(_SHAPE_MISMATCH[form].format(actual), actual=actual)
+        raise FamilyMismatchError(_SHAPE_MISMATCH[form].format(tag.kind.value))
     violations = tag.violations + weight_violations(graph, form)
     return FormulaResult(
         value=closed_form_value(graph.total_weight(), graph.n_edges, graph.max_weight(), t),
@@ -125,6 +124,5 @@ def formula_for_family(graph: WeightedDigraph, t: int) -> FormulaResult:
     """
     tag = classify(graph)
     if tag.shape is None:
-        actual = tag.kind.value
-        raise FamilyMismatchError(f"no closed form for family {actual}", actual=actual)
+        raise FamilyMismatchError(f"no closed form for family {tag.kind.value}")
     return _predict(graph, t, tag.shape, tag)

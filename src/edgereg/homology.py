@@ -59,8 +59,10 @@ def maximal_masks(masks) -> list[int]:
     return out
 
 
-def enumerate_union_faces(covers: list[int], cap: int = MAX_FACES) -> set[int]:
-    """All subsets of the given masks (the faces of the covered complex)."""
+def enumerate_union_faces(covers: list[int]) -> set[int]:
+    """All subsets of the given masks (the faces of the covered complex),
+    at most ``MAX_FACES`` of them."""
+    cap = MAX_FACES
     faces: set[int] = {0}
     for mask in covers:
         sub = mask

@@ -81,9 +81,6 @@ class MonomialIdeal:
     def __len__(self) -> int:
         return len(self._exps)
 
-    def __iter__(self):
-        return iter(self.generators)
-
     def __eq__(self, other) -> bool:
         # Minimal generating sets are unique, so this decides ideal equality.
         return (
@@ -135,19 +132,24 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     variables = _check_same_ring(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(variables)
-    degree = sum(a._exps[0]) + sum(b._exps[0])  # the first generators have the top degrees
-    if degree > DEGREE_CAP:
-        raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
     pk = _Packing(len(variables), a._exps + b._exps, 2)
     pb = list(map(pk.pack, b._exps))
-    pool = {g + h for g in map(pk.pack, a._exps) for h in pb}
-    return MonomialIdeal._of(variables, _minimal(pk, pool))
+    exps = _minimal(pk, {g + h for g in map(pk.pack, a._exps) for h in pb})
+    _check_degree(sum(exps[0]))  # the first generator has the top degree
+    return MonomialIdeal._of(variables, exps)
+
+
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_CAP:
+        raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
 
 
 def power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
     """The t-fold power, t >= 1."""
     if t < 1:
         raise ValueError(f"power exponent must be >= 1, got {t}")
+    if not ideal.is_zero:
+        _check_degree(t * sum(ideal._exps[-1]))  # every generator has degree >= t * the least
     out = ideal
     for _ in range(t - 1):
         out = product(out, ideal)

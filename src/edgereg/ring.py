@@ -54,12 +54,6 @@ class VariableSet:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __iter__(self):
-        return iter(self._names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __eq__(self, other) -> bool:
         return isinstance(other, VariableSet) and self._names == other._names
 

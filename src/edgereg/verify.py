@@ -91,8 +91,8 @@ class _Report:
         out["records"] = [r.to_json_dict(include_timings) for r in self.records]
         return out
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timings), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def canonical_json(self) -> str:
         """Timing-free canonical form; byte-identical across equal runs."""
@@ -286,10 +286,10 @@ def random_monomial_ideal(
     max_variables: int = 4,
     max_generators: int = 4,
     max_exponent: int = 3,
-    min_variables: int = 2,
 ) -> MonomialIdeal:
-    """A small random nonzero monomial ideal (used by seeded corpora)."""
-    nvars = rng.randint(min_variables, max_variables)
+    """A small random nonzero monomial ideal on 2..max_variables variables
+    (used by seeded corpora)."""
+    nvars = rng.randint(2, max_variables)
     variables = VariableSet([f"x{i + 1}" for i in range(nvars)])
     gens = []
     for _ in range(rng.randint(1, max_generators)):

@@ -461,11 +461,30 @@ def colon_regularity_predictions(
     n = len(order)
     weights = [graph.weight(v) for v in order]  # weights[j] = w_{j+1}
 
-    i1 = structure.support_indices[0]
+    i1, q = colon_lead_and_descent(structure.entry.vector, t)
     if i1 >= 2:
         value = sum(weights[j] for j in range(i1, n)) - (n - i1) + 1
         kind = "exact"
     else:
         value = sum(weights[1:]) - n + 1
-        kind = "exact" if structure.q == 0 else "bound"
+        kind = "exact" if q == 0 else "bound"
     return ColonRegularityPrediction(index=i, value=value, kind=kind)
+
+
+def colon_lead_and_descent(vector: tuple[int, ...], t: int) -> tuple[int, int | None]:
+    """(i1, q) for the colon past the basis entry with this exponent vector.
+
+    i1 is the least 1-based edge index with a positive exponent.  When
+    i1 = 1, q is the largest q' < min(t, n // 2) with a positive exponent
+    at every edge index n + 1 - 2s, s = 0..q' (read cyclically); q is None
+    when i1 != 1, where the Q part of the colon is zero.
+    """
+    n = len(vector)
+    i1 = next(j for j, a in enumerate(vector, 1) if a)
+    if i1 != 1:
+        return i1, None
+    q = 0
+    for cand in range(min(t, n // 2)):
+        if all(vector[(n - 2 * s) % n] > 0 for s in range(cand + 1)):  # 1-based n + 1 - 2s
+            q = cand
+    return i1, q

@@ -46,10 +46,12 @@ from oracles import (
     gens_of,
     has_linear_resolution,
     k_polynomial_reference,
+    koszul_slice_faces,
     max_homological_index,
     mv_candidates_reference,
     multigraded_betti_reference,
     private_variable_regularity,
+    reduced_homology_of_face_sets,
     regularity_reference,
     restrict_to_variables,
     slice_covers_reference,
@@ -86,8 +88,8 @@ class TestLcmLattice:
     def test_cap_names_limit(self):
         ideal = I("(x1*x2^2, x2*x3^2, x3*x1^2)")
         with pytest.raises(ResourceCapError) as err:
-            lcm_lattice(ideal, cap=3)
-        assert "3" in str(err.value)
+            betti_table(ideal, lattice_cap=3)
+        assert "lcm lattice exceeds the size cap 3;" in str(err.value)
 
 
 @pytest.mark.parametrize("cap", [0, -1, True, False, 2.0])
@@ -138,20 +140,13 @@ def test_packed_lattice_matches_subset_enumeration_on_wide_exponents(ideal):
 
 @st.composite
 def generators_and_points(draw):
-    """Exponent vectors (not necessarily minimal) and a multidegree b.
-
-    b is either the join of some of them, as the engine sees it, or any
-    vector, possibly above every generator's exponent.
-    """
+    """Exponent vectors (not necessarily minimal) and the join b of some of
+    them, the only multidegrees the engine slices."""
     n = draw(st.integers(1, 5))
     vec = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
     gens = draw(st.lists(vec, min_size=1, max_size=7))
-    if draw(st.booleans()):
-        chosen = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=len(gens)))
-        b = tuple(map(max, *chosen)) if len(chosen) > 1 else chosen[0]
-    else:
-        b = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n).map(tuple))
-    return gens, b
+    chosen = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=len(gens)))
+    return gens, tuple(map(max, *chosen)) if len(chosen) > 1 else chosen[0]
 
 
 @given(generators_and_points())
@@ -170,6 +165,13 @@ def test_mask_covers_match_tuple_scan_up_to_relabelling(case):
         relabelled.append(sum(label[k] for k in bits))
     assert len(divisors) == nverts
     assert relabelled == expected
+
+
+@pytest.mark.parametrize("b", [(2, 1), (1, 2), (3, 0)])
+def test_mask_covers_refuse_an_exponent_no_generator_has(b):
+    # only lcms of generators are sliced, so every b_j is some generator's exponent
+    with pytest.raises(KeyError):
+        _slice_covers(_divisor_masks([(1, 0), (0, 1)]), b)
 
 
 @given(ideals(n_vars=3, max_gens=4, max_exp=3))
@@ -438,11 +440,12 @@ class TestUpperKoszulSlice:
             assert {i: r for (i, m), r in table.multigraded.items() if m == g} == {0: 1}
 
     def test_non_lattice_multidegree_is_acyclic(self):
-        # a slice is exact at any multidegree; off the lattice it is acyclic
+        # the slice is defined at any multidegree; off the lattice it is acyclic
         ideal = parse_ideal("(x, y)", xy)
-        le = _divisor_masks([g.dense() for g in ideal.generators])
-        assert _slice_betti(le, (2, 1), "Q") == {}
-        assert _slice_betti(le, (2, 1), "GF2") == {}
+        faces = koszul_slice_faces(ideal, (2, 1))
+        assert faces == {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}
+        assert reduced_homology_of_face_sets(faces, "Q") == {}
+        assert reduced_homology_of_face_sets(faces, "GF2") == {}
 
 
 class TestBettiTable:

@@ -83,7 +83,7 @@ class TestBettiCommand:
 
     def test_requires_some_input(self, capsys):
         code, _, err = run_cli(capsys, "betti")
-        assert code == 2 and "provide" in err
+        assert code == 2 and "one of the arguments --graph --ideal is required" in err
 
 
 class TestRegCommand:
@@ -160,7 +160,8 @@ class TestLatticeCap:
         assert records and all("--lattice-cap" in r["skipped"] for r in records)
 
     def test_default_is_the_engine_default(self):
-        for argv in (["reg"], ["betti"], ["verify", "campaign"]):
+        for argv in (["reg", "--ideal", "(x1)"], ["betti", "--graph", "g.json"],
+                     ["verify", "campaign"]):
             assert build_parser().parse_args(argv).lattice_cap == DEFAULT_LATTICE_CAP
         assert CampaignSpec("cycle", (3,), (1,)).lattice_cap == DEFAULT_LATTICE_CAP
 
@@ -302,6 +303,11 @@ class TestBadInput:
             ("verify", "campaign", "--n", "3", "--t", "0"),
             ("verify", "campaign", "--n", "3", "--t", "1", "--weights", "0,2"),
             ("verify", "structure", "--n", "3", "--t", "0"),
+            ("reg", "--graph", "{graph}", "--ideal", "(x1)"),
+            ("betti", "--ideal", "(x1)", "--graph", "{graph}"),
+            ("reg", "--graph", "{graph}", "--vars", "x1,x2,x3"),
+            ("betti", "--graph", "{graph}", "--vars", "x1"),
+            ("reg", "--ideal", "(x1*x2)", "--power", "600000"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):

@@ -58,7 +58,7 @@ class TestCycleFormula:
     def test_wrong_family_names_actual(self):
         with pytest.raises(FamilyMismatchError) as err:
             formula_cycle(path_graph([1, 2, 2]), 1)
-        assert err.value.actual == "RootedForest"
+        assert str(err.value) == "underlying graph is not a single cycle (family: RootedForest)"
 
     def test_power_bounds(self):
         g = make_cycle([2, 2, 2])
@@ -172,7 +172,7 @@ class TestFormulaForFamily:
         )
         with pytest.raises(FamilyMismatchError) as err:
             formula_for_family(g, 1)
-        assert err.value.actual == "Other"
+        assert str(err.value) == "no closed form for family Other"
 
 
 class TestClosedFormValue:

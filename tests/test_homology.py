@@ -137,9 +137,10 @@ class TestEnumerateUnionFaces:
         faces = enumerate_union_faces([0b011, 0b110])
         assert faces == {0b000, 0b001, 0b010, 0b011, 0b100, 0b110}
 
-    def test_face_cap(self):
-        with pytest.raises(ResourceCapError):
-            enumerate_union_faces([(1 << 30) - 1], cap=1000)
+    def test_face_cap(self, monkeypatch):
+        monkeypatch.setattr(homology, "MAX_FACES", 1000)  # read at each call
+        with pytest.raises(ResourceCapError, match="MAX_FACES=1000"):
+            enumerate_union_faces([(1 << 30) - 1])
 
 
 @st.composite

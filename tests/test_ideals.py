@@ -315,6 +315,28 @@ def test_power_past_the_degree_cap_raises():
         power(half, 3)
     with pytest.raises(DegreeCapError):
         product(half, power(half, 2))
-    # a product past the cap raises even when a smaller generator would absorb it
+    # a kept generator past the cap raises, though the least one is far below it
     with pytest.raises(DegreeCapError):
         power(MonomialIdeal(V2, [M("x1", n=2), Monomial.from_dense(V2, (0, 600_000))]), 2)
+
+
+def test_degree_cap_applies_to_kept_generators_only():
+    # the top product x1^520000*x2^520000 is past the cap, but x1^390000*x2^390000 divides it
+    squared = power(I("(x1^390000, x2^390000, x1^260000*x2^260000)", n=2), 2)
+    assert squared == I(
+        "(x1^780000, x1^650000*x2^260000, x1^390000*x2^390000, x1^260000*x2^650000, x2^780000)",
+        n=2,
+    )
+    assert max(g.degree for g in squared.generators) == 910_000
+
+
+def test_power_past_the_cap_fails_before_multiplying(monkeypatch):
+    # every generator of I^t has degree at least t times the least degree in I
+    import edgereg.ideals as ideals_module
+
+    def no_product(a, b):
+        raise AssertionError("power multiplied before checking the degree cap")
+
+    monkeypatch.setattr(ideals_module, "product", no_product)
+    with pytest.raises(DegreeCapError, match="degree 1200000 exceeds cap"):
+        power(I("(x1*x2, x1^5)", n=2), 600_000)
