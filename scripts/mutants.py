@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Re-runnable mutation checks: each entry breaks one line the tests should guard.
+
+An entry names a file of the repository, an exact text that occurs in it
+once, the text that replaces it, and the tests that should then fail.  Each
+mutant is applied alone to a temporary copy of the repository, and its
+tests run there with pytest.  A mutant whose tests fail is caught; one
+whose tests pass survived.  Run from anywhere:
+
+    python scripts/mutants.py
+
+Exits 1 when a mutant survives or an entry is stale (its old text does not
+occur exactly once, or a test it names is gone).  A line edited on purpose
+needs its entry edited in the same change.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_WALK = ("tests/test_betti.py",)
+
+MUTANTS = (
+    # the Mayer-Vietoris tree walk of betti.regularity_witness
+    Mutant("child bounded by |m_k|, not the prefix lcm", "src/edgereg/betti.py",
+           "bound = prefix % mod - d - 1", "bound = m % mod - d - 1", _WALK),
+    Mutant("stop at <=", "src/edgereg/betti.py",
+           "if bound < best[0]:", "if bound <= best[0]:", _WALK),
+    Mutant("emissions bucketed at depth d + 1", "src/edgereg/betti.py",
+           "bound = m % mod - d  #", "bound = m % mod - d - 1  #", _WALK),
+    Mutant("seen set skips every node met before", "src/edgereg/betti.py",
+           "if seen.get(child, d + 1) > d:", "if child not in seen:", _WALK),
+    Mutant("emission pushes pruned at <=", "src/edgereg/betti.py",
+           "if bound >= floor:\n                    buckets[bound].append(m)",
+           "if bound > floor:\n                    buckets[bound].append(m)", _WALK),
+    # the packed exponent vectors of ring._Packing
+    Mutant("degree modulus 2**width", "src/edgereg/ring.py",
+           "self.mod = (1 << width) - 1", "self.mod = 1 << width",
+           ("tests/test_ideals.py", *_WALK)),
+    Mutant("degree modulus 2**width - 2", "src/edgereg/ring.py",
+           "self.mod = (1 << width) - 1", "self.mod = (1 << width) - 2",
+           ("tests/test_ideals.py", *_WALK)),
+    # the reduced homology of a union of simplices
+    Mutant("apex weighted by cover count, not 2^|C|", "src/edgereg/homology.py",
+           "w = 1 << cover.bit_count()", "w = 1", ("tests/test_homology.py",)),
+    Mutant("star filter tests the cover inside the face", "src/edgereg/homology.py",
+           "if f | c == c:", "if f & c == c:", ("tests/test_homology.py",)),
+    Mutant("boundary without signs", "src/edgereg/homology.py",
+           "sign = -sign", "sign = sign", ("tests/test_homology.py",)),
+    # the family of a graph
+    Mutant("antiparallel pairs allowed", "src/edgereg/digraph.py",
+           "if any((b, a) in edge_set for a, b in edge_set):", "if False:",
+           ("tests/test_digraph.py",)),
+    Mutant("forest vertices with in-degree 2", "src/edgereg/digraph.py",
+           "len(graph.in_neighbors(v)) <= 1", "len(graph.in_neighbors(v)) <= 2",
+           ("tests/test_digraph.py",)),
+    Mutant("cycle when one vertex hangs off the cycle", "src/edgereg/digraph.py",
+           "if len(core) == graph.n_vertices:", "if len(core) >= graph.n_vertices - 1:",
+           ("tests/test_digraph.py",)),
+    # checks that refuse work or input before it starts
+    Mutant("unit ideal multiplied at every power", "src/edgereg/ideals.py",
+           "if ideal.is_zero or not sum(ideal._exps[-1]):", "if ideal.is_zero:",
+           ("tests/test_ideals.py",)),
+    Mutant("CampaignSpec takes any field", "src/edgereg/verify.py",
+           "        _check_field(self.field)\n", "",
+           ("tests/test_verify.py::TestSpecValidation",)),
+    Mutant("CampaignSpec takes repeated entries", "src/edgereg/verify.py",
+           "if len(set(values)) < len(values):", "if False:",
+           ("tests/test_verify.py::TestSpecValidation",)),
+)
+
+
+def stale(mutant: Mutant) -> str | None:
+    """Why the entry no longer applies to the repository, or None."""
+    count = (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+    if count != 1:
+        return f"old text occurs {count} times in {mutant.path}"
+    for test in mutant.tests:
+        path, *names = test.split("::")
+        if not (ROOT / path).is_file():
+            return f"no test file {path}"
+        text = (ROOT / path).read_text(encoding="utf-8")
+        for name in names:
+            if f"def {name}(" not in text and f"class {name}" not in text:
+                return f"no test {name} in {path}"
+    return None
+
+
+def run(mutant: Mutant, root: pathlib.Path) -> bool:
+    """Apply the mutant in the copy at ``root``, run its tests, undo it;
+    True when the tests failed."""
+    source = root / mutant.path
+    original = source.read_text(encoding="utf-8")
+    source.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+    finally:
+        source.write_text(original, encoding="utf-8")
+    # 1: a test failed; 2: collection failed, e.g. on a broken import
+    if done.returncode not in (0, 1, 2):
+        raise RuntimeError(f"pytest exited {done.returncode} on {mutant.tests}")
+    return done.returncode != 0
+
+
+def main() -> int:
+    bad = 0
+    for mutant in MUTANTS:
+        reason = stale(mutant)
+        if reason:
+            print(f"stale     {mutant.name}: {reason}")
+            bad += 1
+    if bad:
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        # the tests read the scripts and the benchmark too, as callers of the package
+        for part in ("src", "tests", "scripts", "edgebench"):
+            shutil.copytree(ROOT / part, root / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", "results"))
+        shutil.copy(ROOT / "pyproject.toml", root)
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            caught = run(mutant, root)
+            verdict = "caught  " if caught else "SURVIVED"
+            print(f"{verdict}  {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+            bad += not caught
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -113,59 +113,45 @@ def cmd_formula(args) -> int:
     return 0
 
 
-# The flags that pick the instances of verify campaign and structure, and
-# their defaults; --n defaults per family.
-_SWEEP_DEFAULTS = {"family": "cycle", "n": None, "t": "1..2", "weights": "2,3",
-                   "seed": 0, "workers": 1}
+def _file_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("needs a file path, got an empty one")
+    return text
+
+
+def _spec(args, family: str = "cycle", workers: int = 1):
+    """The instances of verify campaign or structure; --n defaults by family."""
+    from .verify import CampaignSpec
+
+    return CampaignSpec(
+        family, _parse_range("n", args.n or ("4" if family == "unicyclic" else "3..4")),
+        _parse_range("t", args.t), _parse_alphabet(args.weights), seed=args.seed,
+        field=args.field, lattice_cap=args.lattice_cap, workers=workers,
+    )
 
 
 def cmd_verify(args) -> int:
     # only verify loads the harness, so the other subcommands start faster
-    from .verify import CampaignSpec, run_campaign, run_reference_examples, run_structure_checks
+    from . import verify
 
-    for flag in ("out", "csv"):
-        if getattr(args, flag) == "":
-            raise ValueError(f"--{flag} needs a file path, got an empty one")
-    if args.csv is not None and args.mode != "campaign":
-        raise ValueError("--csv applies to verify campaign only")
-    given = [f for f in _SWEEP_DEFAULTS if getattr(args, f) is not None]
     if args.mode == "examples":
-        if given:
-            raise ValueError(f"--{given[0]} applies to verify campaign and structure only")
-        report = run_reference_examples(field=args.field, lattice_cap=args.lattice_cap)
-        out = report.to_json()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
-        print(out)
-        return report.exit_code()
-    opts = {**_SWEEP_DEFAULTS, **{f: getattr(args, f) for f in given}}
-    if opts["n"] is None:
-        opts["n"] = "4" if opts["family"] == "unicyclic" else "3..4"
-    spec = CampaignSpec(
-        family=opts["family"],
-        n_values=_parse_range("n", opts["n"]),
-        t_values=_parse_range("t", opts["t"]),
-        weight_alphabet=_parse_alphabet(opts["weights"]),
-        seed=opts["seed"],
-        field=args.field,
-        lattice_cap=args.lattice_cap,
-        workers=opts["workers"],
-    )
-    if args.mode == "campaign":
-        report = run_campaign(spec)
+        report = verify.run_reference_examples(args.field, args.lattice_cap)
+    elif args.mode == "structure":
+        report = verify.run_structure_checks(_spec(args))
     else:
-        report = run_structure_checks(spec)
+        report = verify.run_campaign(_spec(args, args.family, args.workers))
+        if args.csv:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(report.to_csv())
     text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
-    print(json.dumps(report.summary(), sort_keys=True), file=sys.stderr)
+    summary = report.summary()
+    if summary is not None:
+        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return report.exit_code()
 
 
@@ -225,20 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_formula)
 
     p = sub.add_parser("verify", help="verification harness")
-    p.add_argument("mode", choices=("examples", "campaign", "structure"))
-    # the sweep flags default to None so that verify examples can refuse them
-    p.add_argument("--family", choices=("cycle", "forest", "unicyclic", "raw-ideal"),
-                   help="instance family (default cycle)")
-    p.add_argument("--n", help="n values, e.g. 3..5 or 3,5 (default 4 for unicyclic, else 3..4)")
-    p.add_argument("--t", help="t values (default 1..2)")
-    p.add_argument("--weights", help="weight alphabet (default 2,3)")
-    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    p.add_argument("--field", choices=("Q", "GF2"), default="Q")
-    p.add_argument("--workers", type=int, help="worker processes (default 1)")
-    _add_lattice_cap(p)
-    p.add_argument("--out")
-    p.add_argument("--csv", help="also write the campaign records as CSV (campaign only)")
     p.set_defaults(fn=cmd_verify)
+    modes = p.add_subparsers(dest="mode", required=True)
+    examples = modes.add_parser("examples", help="the four showcase instances")
+    campaign = modes.add_parser("campaign", help="closed forms against the engine")
+    campaign.add_argument("--family", choices=("cycle", "forest", "unicyclic", "raw-ideal"),
+                          default="cycle", help="instance family (default %(default)s)")
+    structure = modes.add_parser("structure", help="ordered-basis and colon checks on cycles")
+    for m in (campaign, structure):
+        m.add_argument("--n", help="n values, e.g. 3..5 or 3,5 (default 4 for unicyclic, else 3..4)")
+        m.add_argument("--t", default="1..2", help="t values (default %(default)s)")
+        m.add_argument("--weights", default="2,3", help="weight alphabet (default %(default)s)")
+        m.add_argument("--seed", type=int, default=0, help="sampling seed (default %(default)s)")
+    campaign.add_argument("--workers", type=int, default=1,
+                          help="worker processes (default %(default)s)")
+    campaign.add_argument("--csv", type=_file_path, help="also write the records as CSV")
+    for m in (examples, campaign, structure):
+        m.add_argument("--field", choices=("Q", "GF2"), default="Q")
+        _add_lattice_cap(m)
+        m.add_argument("--out", type=_file_path, help="write the report here, not to stdout")
 
     return parser
 

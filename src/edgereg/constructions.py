@@ -16,11 +16,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .digraph import Family, WeightedDigraph, classify
-from .errors import (
-    DegreeCapError, EmptyGraphError, FamilyMismatchError, GeneratorMembershipError,
-)
+from .errors import EmptyGraphError, FamilyMismatchError, GeneratorMembershipError
 from .ideals import MonomialIdeal, _minimalize, colon_by_monomial, ideal_sum
-from .ring import DEGREE_CAP, Monomial, VariableSet
+from .ring import Monomial, VariableSet, _check_degree
 
 
 def edge_ideal(graph: WeightedDigraph) -> MonomialIdeal:
@@ -39,8 +37,7 @@ def _edge_vector(
 ) -> tuple[int, ...]:
     """Exponents of ``x_tail * x_head^{w(head)}``; tail != head since graphs have no self-loops."""
     weight = graph.weight(head)
-    if weight >= DEGREE_CAP:
-        raise DegreeCapError(f"monomial degree {weight + 1} exceeds cap {DEGREE_CAP}")
+    _check_degree(weight + 1)
     exps = [0] * len(variables)
     exps[variables.index(tail)], exps[variables.index(head)] = 1, weight
     return tuple(exps)

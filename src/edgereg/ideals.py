@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import DegreeCapError, ParseError, VariableSetMismatchError
-from .ring import DEGREE_CAP, Monomial, VariableSet, _check_same_ring, _Packing, _text
+from .errors import ParseError, VariableSetMismatchError
+from .ring import Monomial, VariableSet, _check_degree, _check_same_ring, _Packing, _text
 from .ring import parse_monomial
 
 Vector = tuple[int, ...]
@@ -139,17 +139,13 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._of(variables, exps)
 
 
-def _check_degree(degree: int) -> None:
-    if degree > DEGREE_CAP:
-        raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
-
-
 def power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
     """The t-fold power, t >= 1."""
     if t < 1:
         raise ValueError(f"power exponent must be >= 1, got {t}")
-    if not ideal.is_zero:
-        _check_degree(t * sum(ideal._exps[-1]))  # every generator has degree >= t * the least
+    if ideal.is_zero or not sum(ideal._exps[-1]):
+        return ideal  # (0)^t = (0) and (1)^t = (1)
+    _check_degree(t * sum(ideal._exps[-1]))  # every generator has degree >= t * the least
     out = ideal
     for _ in range(t - 1):
         out = product(out, ideal)

@@ -21,6 +21,12 @@ from .errors import DegreeCapError, ParseError, VariableSetMismatchError
 # arithmetic limit.
 DEGREE_CAP = 10**6
 
+
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_CAP:
+        raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
+
+
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
@@ -169,8 +175,7 @@ class Monomial:
     def _new(cls, variables: VariableSet, exps: tuple[int, ...]) -> "Monomial":
         """A monomial from a tuple of nonnegative ints, one per variable."""
         degree = sum(exps)
-        if degree > DEGREE_CAP:
-            raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
+        _check_degree(degree)
         self = object.__new__(cls)
         self._vars, self._exps, self._degree = variables, exps, degree
         self._hash = hash((variables, exps))

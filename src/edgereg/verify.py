@@ -29,6 +29,7 @@ from .digraph import WeightedDigraph, classify, make_cycle
 from .errors import ResourceCapError
 from .formulas import FORMULA_BY_FAMILY as _FORMULA_BY_FAMILY
 from .formulas import FormulaResult, formula_cycle, formula_forest, formula_unicyclic
+from .homology import _check_field
 from .ideals import MonomialIdeal, colon_by_monomial, intersect, polarize, power
 from .ring import Monomial, VariableSet
 
@@ -147,6 +148,7 @@ class CampaignSpec:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.sample_size < 1:
             raise ValueError(f"sample_size must be at least 1, got {self.sample_size}")
+        _check_field(self.field)
         _check_cap(self.lattice_cap)
         least = _MIN_VERTICES.get(self.family, 0)
         if min(self.n_values) < least:

@@ -94,6 +94,10 @@ class TestRegCommand:
         assert lines[0] == "7"
         assert lines[1].startswith("witness: i=")
 
+    def test_unit_ideal_at_a_huge_power(self, capsys):
+        code, out, _ = run_cli(capsys, "reg", "--ideal", "(1)", "--power", "100000000")
+        assert (code, out) == (0, "0\nwitness: i=0 j=0\n")
+
     def test_ideal_text_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "reg", "--ideal", "(x1^2*x2, x2^3)", "--vars", "x1,x2")
         assert code == 0
@@ -194,6 +198,12 @@ class TestVerifyCommand:
         assert code == 0
         assert data["kind"] == "reference-examples"
         assert all(r["ok"] for r in data["records"])
+
+    def test_examples_out_replaces_stdout(self, capsys, tmp_path):
+        out_path = tmp_path / "examples.json"
+        code, out, _ = run_cli(capsys, "verify", "examples", "--out", str(out_path))
+        assert (code, out) == (0, "")
+        assert json.loads(out_path.read_text())["kind"] == "reference-examples"
 
     def test_campaign_writes_report_and_csv(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -308,6 +318,8 @@ class TestBadInput:
             ("reg", "--graph", "{graph}", "--vars", "x1,x2,x3"),
             ("betti", "--graph", "{graph}", "--vars", "x1"),
             ("reg", "--ideal", "(x1*x2)", "--power", "600000"),
+            ("verify", "structure", "--n", "3", "--t", "1", "--workers", "2"),
+            ("verify", "structure", "--family", "cycle", "--n", "3", "--t", "1"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgereg import homology
@@ -200,6 +200,9 @@ def test_empty_cover_family_is_the_empty_face_complex():
 
 @given(cover_families(), st.sampled_from(["Q", "GF2"]))
 @settings(max_examples=200, deadline=None)
+# two disjoint triangles: the cells of the second one need signed boundaries
+# over Q, since its three edges form an odd cycle
+@example((6, [0b000111, 0b111000]), "Q")
 def test_homology_from_faces_matches_oracle(family, field):
     nverts, covers = family
     faces = enumerate_union_faces(maximal_masks(covers))

@@ -340,3 +340,15 @@ def test_power_past_the_cap_fails_before_multiplying(monkeypatch):
     monkeypatch.setattr(ideals_module, "product", no_product)
     with pytest.raises(DegreeCapError, match="degree 1200000 exceeds cap"):
         power(I("(x1*x2, x1^5)", n=2), 600_000)
+
+
+@pytest.mark.parametrize("text", ["(0)", "(1)"])
+def test_power_of_the_zero_or_unit_ideal_is_itself_without_multiplying(monkeypatch, text):
+    # (0)^t = (0) and (1)^t = (1), at any t
+    import edgereg.ideals as ideals_module
+
+    def no_product(a, b):
+        raise AssertionError("power multiplied an ideal that its powers equal")
+
+    monkeypatch.setattr(ideals_module, "product", no_product)
+    assert power(I(text, n=2), 100_000_000) == I(text, n=2)

@@ -319,6 +319,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"lattice.cap.*{cap}"):
             small_cycle_spec(lattice_cap=cap)
 
+    @pytest.mark.parametrize("field", ["Z", "q", None])
+    def test_unknown_field(self, field):
+        # rejected when the spec is built, not when a campaign first uses it
+        with pytest.raises(ValueError, match="unknown field"):
+            small_cycle_spec(field=field)
+
     def test_empty_weight_alphabet(self):
         with pytest.raises(ValueError, match="weight_alphabet"):
             small_cycle_spec(weight_alphabet=())
