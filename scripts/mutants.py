@@ -51,6 +51,14 @@ MUTANTS = (
     Mutant("emission pushes pruned at <=", "src/edgereg/betti.py",
            "if bound >= floor:\n                    buckets[bound].append(m)",
            "if bound > floor:\n                    buckets[bound].append(m)", _WALK),
+    Mutant("walk reads the reduced degree as the homological index", "src/edgereg/betti.py",
+           "best = max(best, (sum(b) - h - 1, -h - 1))", "best = max(best, (sum(b) - h, -h))",
+           _WALK),
+    # the lcm lattice and the table loop of betti.betti_table
+    Mutant("lattice builder drops the generator itself", "src/edgereg/betti.py",
+           "        lattice.add(g)\n", "", _WALK),
+    Mutant("table records ranks at the reduced degree", "src/edgereg/betti.py",
+           "multigraded[(d + 1, bm)] = r", "multigraded[(d, bm)] = r", _WALK),
     # the packed exponent vectors of ring._Packing
     Mutant("degree modulus 2**width", "src/edgereg/ring.py",
            "self.mod = (1 << width) - 1", "self.mod = 1 << width",
@@ -77,7 +85,11 @@ MUTANTS = (
            ("tests/test_digraph.py",)),
     # checks that refuse work or input before it starts
     Mutant("unit ideal multiplied at every power", "src/edgereg/ideals.py",
-           "if ideal.is_zero or not sum(ideal._exps[-1]):", "if ideal.is_zero:",
+           "if len(ideal) == 1:", "if False:", ("tests/test_ideals.py",)),
+    Mutant("power squares once more than t has bits", "src/edgereg/ideals.py",
+           "for bit in bin(t)[3:]:", "for bit in bin(t)[2:]:", ("tests/test_ideals.py",)),
+    Mutant("power of a principal ideal left at the first power", "src/edgereg/ideals.py",
+           "(tuple([t * e for e in ideal._exps[0]]),)", "ideal._exps",
            ("tests/test_ideals.py",)),
     Mutant("CampaignSpec takes any field", "src/edgereg/verify.py",
            "        _check_field(self.field)\n", "",

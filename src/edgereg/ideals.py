@@ -140,15 +140,24 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
-    """The t-fold power, t >= 1."""
+    """The t-fold power, t >= 1, by repeated squaring.
+
+    The bits of t are read from the top: each one squares the power so
+    far, and a set bit multiplies it by the ideal once more, so at most
+    2 * floor(log2 t) products are formed, each of a power I^s with s <= t.
+    """
     if t < 1:
         raise ValueError(f"power exponent must be >= 1, got {t}")
-    if ideal.is_zero or not sum(ideal._exps[-1]):
-        return ideal  # (0)^t = (0) and (1)^t = (1)
+    if ideal.is_zero:
+        return ideal
     _check_degree(t * sum(ideal._exps[-1]))  # every generator has degree >= t * the least
+    if len(ideal) == 1:  # a principal ideal, (1) among them
+        return MonomialIdeal._of(ideal._vars, (tuple([t * e for e in ideal._exps[0]]),))
     out = ideal
-    for _ in range(t - 1):
-        out = product(out, ideal)
+    for bit in bin(t)[3:]:
+        out = product(out, out)
+        if bit == "1":
+            out = product(out, ideal)
     return out
 
 

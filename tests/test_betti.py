@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from edgereg.betti import (
     DEFAULT_LATTICE_CAP,
     _divisor_masks,
-    _slice_betti,
     _slice_covers,
+    _slice_homology,
     betti_table,
     lcm_lattice,
     regularity,
@@ -113,6 +113,17 @@ def test_lattice_contains_generators_and_is_join_closed(ideal):
     lattice = set(lcm_lattice(ideal).multidegrees)
     assert {g.dense() for g in ideal.generators} <= lattice
     assert all(tuple(map(max, a, b)) in lattice for a in lattice for b in lattice)
+
+
+@given(ideals(n_vars=4, max_gens=5, max_exp=3))
+@settings(max_examples=60, deadline=None)
+def test_the_lattice_cap_admits_exactly_the_lattice_size(ideal):
+    # the lattice only grows while the generators are joined, whatever their order
+    size = lcm_lattice(ideal).size
+    betti_table(ideal, lattice_cap=size)
+    if size > 1:
+        with pytest.raises(ResourceCapError, match=f"lcm lattice exceeds the size cap {size - 1};"):
+            betti_table(ideal, lattice_cap=size - 1)
 
 
 # exponents at and around the field-width boundaries of the packed lattice
@@ -210,19 +221,37 @@ def test_one_covered_homology_call_per_lattice_point(monkeypatch, ideal):
     assert len(calls) == lcm_lattice(ideal).size
 
 
+def test_the_table_slices_each_lattice_point_once_through_the_shared_slice(monkeypatch):
+    import edgereg.betti as betti_module
+
+    ideal = I("(x1^3*x2, x2^2*x3^2, x1*x3^3, x1^2*x2^2*x3)")
+    slices = []
+    original = betti_module._slice_homology
+
+    def recording(masks, b, field):
+        slices.append(b)
+        return original(masks, b, field)
+
+    monkeypatch.setattr(betti_module, "_slice_homology", recording)
+    betti_table(ideal)
+    assert sorted(slices) == slices  # ascending lex order, the order of the packed ints
+    assert set(slices) == set(lcm_lattice(ideal).multidegrees)
+    assert len(slices) == lcm_lattice(ideal).size
+
+
 def test_regularity_search_slices_only_tree_candidates(monkeypatch):
     import edgereg.betti as betti_module
 
     ideal = power(edge_ideal(make_cycle([2, 3, 2, 2])), 2)
     table = betti_table(ideal)
     slices = []
-    original = betti_module._slice_betti
+    original = betti_module._slice_homology
 
     def recording(le, b, field):
         slices.append(b)
         return original(le, b, field)
 
-    monkeypatch.setattr(betti_module, "_slice_betti", recording)
+    monkeypatch.setattr(betti_module, "_slice_homology", recording)
     assert regularity(ideal) == table.regularity()
     candidates = mv_candidates_reference(
         tuple(g.dense() for g in ideal.generators), DEFAULT_LATTICE_CAP
@@ -238,8 +267,8 @@ def _candidate_table(ideal: MonomialIdeal, field: str = "Q") -> dict:
     le = _divisor_masks(list(gens))
     table = {}
     for b in mv_candidates_reference(gens, DEFAULT_LATTICE_CAP):
-        for i, r in _slice_betti(le, b, field).items():
-            table[(i, Monomial.from_dense(ideal.variables, b))] = r
+        for d, r in _slice_homology(le, b, field).items():
+            table[(d + 1, Monomial.from_dense(ideal.variables, b))] = r
     return table
 
 
@@ -336,13 +365,13 @@ def test_regularity_search_slices_the_candidates_whose_bound_reaches_it(ideal, f
     import edgereg.betti as betti_module
 
     slices = []
-    original = betti_module._slice_betti
+    original = betti_module._slice_homology
 
     def recording(le, b, *rest):
         slices.append(b)
         return original(le, b, *rest)
 
-    with mock.patch.object(betti_module, "_slice_betti", recording):
+    with mock.patch.object(betti_module, "_slice_homology", recording):
         reg, witness = regularity_witness(ideal, field)
     candidates = mv_candidates_reference(tuple(g.dense() for g in ideal.generators), 10**6)
     assert len(slices) == len(set(slices))
@@ -380,13 +409,13 @@ def test_the_cycle_ladder_regularities_slice_196_multidegrees(monkeypatch):
     import edgereg.betti as betti_module
 
     slices = []
-    original = betti_module._slice_betti
+    original = betti_module._slice_homology
 
     def recording(le, b, field):
         slices.append(b)
         return original(le, b, field)
 
-    monkeypatch.setattr(betti_module, "_slice_betti", recording)
+    monkeypatch.setattr(betti_module, "_slice_homology", recording)
     ladder = _cycle_ladder(0)
     assert len(ladder) == 10
     for ideal in ladder:

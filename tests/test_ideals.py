@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from operator import add
 
 import pytest
@@ -352,3 +353,35 @@ def test_power_of_the_zero_or_unit_ideal_is_itself_without_multiplying(monkeypat
 
     monkeypatch.setattr(ideals_module, "product", no_product)
     assert power(I(text, n=2), 100_000_000) == I(text, n=2)
+
+
+@pytest.mark.parametrize(
+    "text, t, want, most",
+    [
+        ("(x1)", 900_000, [(900_000, 0)], 0),  # a principal ideal needs no product
+        ("(x1, x2)", 100, [(100 - k, k) for k in range(101)], 2 * math.ceil(math.log2(100))),
+    ],
+    ids=["principal", "two-generators"],
+)
+def test_power_forms_at_most_two_products_per_bit(monkeypatch, text, t, want, most):
+    # multiplying t - 1 times would form 899,999 products of (x1) here
+    import edgereg.ideals as ideals_module
+
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(ideals_module, "product", counting)
+    assert power(I(text, n=2), t) == MonomialIdeal(V2, [Monomial.from_dense(V2, v) for v in want])
+    assert len(calls) <= most
+
+
+@given(ideals(n_vars=3, max_gens=3, max_exp=2), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_power_matches_repeated_products(ideal, t):
+    expected = ideal
+    for _ in range(t - 1):
+        expected = product(expected, ideal)
+    assert power(ideal, t) == expected
