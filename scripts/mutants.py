@@ -5,7 +5,9 @@ An entry names a file of the repository, an exact text that occurs in it
 once, the text that replaces it, and the tests that should then fail.  Each
 mutant is applied alone to a temporary copy of the repository, and its
 tests run there with pytest.  A mutant whose tests fail is caught; one
-whose tests pass survived.  Run from anywhere:
+whose tests pass survived.  A mutant that keeps its tests running past
+TIMEOUT_S (an elimination loop that never ends, say) is caught too: a
+suite that does not finish does not pass.  Run from anywhere:
 
     python scripts/mutants.py
 
@@ -26,6 +28,8 @@ import time
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the tests of one entry take seconds on the unmutated tree
+TIMEOUT_S = 120
 
 
 class Mutant(NamedTuple):
@@ -73,6 +77,16 @@ MUTANTS = (
            "if f | c == c:", "if f & c == c:", ("tests/test_homology.py",)),
     Mutant("boundary without signs", "src/edgereg/homology.py",
            "sign = -sign", "sign = sign", ("tests/test_homology.py",)),
+    # the reduce-against-pivots loops of the two rank kernels
+    Mutant("integer row not scaled by p/g before the update", "src/edgereg/linalg.py",
+           "row = {c: s * v for c, v in row.items()}", "row = {c: v for c, v in row.items()}",
+           ("tests/test_linalg.py",)),
+    Mutant("integer row reduced once at most", "src/edgereg/linalg.py",
+           "        while row:\n", "        if row:\n", ("tests/test_linalg.py",)),
+    Mutant("GF(2) row or-ed with its pivot row", "src/edgereg/linalg.py",
+           "r ^= piv", "r |= piv", ("tests/test_linalg.py",)),
+    Mutant("GF(2) row reduced once at most", "src/edgereg/linalg.py",
+           "        while r:\n", "        if r:\n", ("tests/test_linalg.py",)),
     # the family of a graph
     Mutant("antiparallel pairs allowed", "src/edgereg/digraph.py",
            "if any((b, a) in edge_set for a, b in edge_set):", "if False:",
@@ -116,9 +130,9 @@ def stale(mutant: Mutant) -> str | None:
     return None
 
 
-def run(mutant: Mutant, root: pathlib.Path) -> bool:
+def run(mutant: Mutant, root: pathlib.Path) -> str:
     """Apply the mutant in the copy at ``root``, run its tests, undo it;
-    True when the tests failed."""
+    the verdict: caught, caught (timed out) or SURVIVED."""
     source = root / mutant.path
     original = source.read_text(encoding="utf-8")
     source.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
@@ -127,14 +141,16 @@ def run(mutant: Mutant, root: pathlib.Path) -> bool:
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              *mutant.tests],
             cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
         )
+    except subprocess.TimeoutExpired:
+        return "caught (timed out)"
     finally:
         source.write_text(original, encoding="utf-8")
     # 1: a test failed; 2: collection failed, e.g. on a broken import
     if done.returncode not in (0, 1, 2):
         raise RuntimeError(f"pytest exited {done.returncode} on {mutant.tests}")
-    return done.returncode != 0
+    return "caught" if done.returncode else "SURVIVED"
 
 
 def main() -> int:
@@ -155,10 +171,9 @@ def main() -> int:
         shutil.copy(ROOT / "pyproject.toml", root)
         for mutant in MUTANTS:
             start = time.perf_counter()
-            caught = run(mutant, root)
-            verdict = "caught  " if caught else "SURVIVED"
-            print(f"{verdict}  {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
-            bad += not caught
+            verdict = run(mutant, root)
+            print(f"{verdict:<8}  {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+            bad += verdict == "SURVIVED"
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught")
     return 1 if bad else 0
 

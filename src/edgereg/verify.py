@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -153,6 +154,15 @@ class CampaignSpec:
         least = _MIN_VERTICES.get(self.family, 0)
         if min(self.n_values) < least:
             raise ValueError(f"{self.family} members need n >= {least}, got {self.n_values}")
+        # a sample draws from range(|alphabet|^free), which holds at most sys.maxsize
+        free = max(self.n_values) - (self.family == "forest")
+        base = len(self.weight_alphabet)
+        if self.family != "raw-ideal" and base ** min(free, 64) > sys.maxsize:
+            most = max(k for k in range(64) if base**k <= sys.maxsize) + (self.family == "forest")
+            raise ValueError(
+                f"--n (n_values=) allows n <= {most} for {self.family} with {base} weights, "
+                f"got {max(self.n_values)}: {base}^{free} weight tuples exceed sys.maxsize"
+            )
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}

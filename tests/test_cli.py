@@ -320,6 +320,7 @@ class TestBadInput:
             ("reg", "--ideal", "(x1*x2)", "--power", "600000"),
             ("verify", "structure", "--n", "3", "--t", "1", "--workers", "2"),
             ("verify", "structure", "--family", "cycle", "--n", "3", "--t", "1"),
+            ("verify", "campaign", "--n", "70", "--t", "1"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):

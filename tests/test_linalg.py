@@ -119,14 +119,21 @@ def boundary_matrices(covers: list[int]) -> list[list[list[int]]]:
     return out
 
 
-@given(st.lists(st.integers(1, (1 << 7) - 1), min_size=1, max_size=6))
+def bitmask_rows(m: list[list[int]]) -> list[int]:
+    return [sum((cell & 1) << c for c, cell in enumerate(row)) for row in m]
+
+
+@given(st.lists(st.integers(1, (1 << 7) - 1), min_size=1, max_size=6), st.randoms())
 @settings(max_examples=120, deadline=None)
-def test_rank_int_on_boundary_matrices_and_their_transposes(covers):
+def test_rank_int_on_boundary_matrices_and_their_transposes(covers, rnd):
+    # both kernels, over Q and over GF(2); pivot rows depend on the order
+    # the rows arrive in, so each matrix is also taken with its rows shuffled
     for m in boundary_matrices(covers):
-        expected = fraction_rank(m)
-        assert sparse_rank(m) == expected
+        expected, expected_mod2 = fraction_rank(m), mod2_rank(m)
         transposed = [list(col) for col in zip(*m)]
-        assert sparse_rank(transposed) == expected
+        for rows in (m, transposed, rnd.sample(m, len(m)), rnd.sample(transposed, len(transposed))):
+            assert sparse_rank(rows) == expected
+            assert rank_gf2(bitmask_rows(rows), len(rows[0])) == expected_mod2
 
 
 def test_rank_int_empty_and_zero():
@@ -136,17 +143,18 @@ def test_rank_int_empty_and_zero():
 
 
 def test_rank_int_does_not_mutate_input():
-    # a gcd pivot on row 0, then a unit pivot with fill-in
-    m = [{0: 2, 1: 4}, {0: 1, 1: 3}, {0: -1, 2: 5}]
+    # rows are reduced against pivot rows keyed by their highest column: row 0
+    # is the pivot row of column 1; row 1 is scaled by 4, reduced against it
+    # and divided by 2; row 2 is a pivot row as it is; row 3 is reduced
+    # against row 0 without scaling, then against row 1 to zero
+    m = [{0: 2, 1: 4}, {0: 1, 1: 3}, {0: -1, 2: 5}, {0: 2, 1: 8}]
     assert rank_int(m, 3) == 3
-    assert m == [{0: 2, 1: 4}, {0: 1, 1: 3}, {0: -1, 2: 5}]
+    assert m == [{0: 2, 1: 4}, {0: 1, 1: 3}, {0: -1, 2: 5}, {0: 2, 1: 8}]
 
 
 @given(int_matrices(lo=0, hi=1))
 def test_rank_gf2_matches_dense_mod2(m):
-    ncols = len(m[0])
-    rows = [sum((cell & 1) << c for c, cell in enumerate(row)) for row in m]
-    assert rank_gf2(rows, ncols) == mod2_rank(m)
+    assert rank_gf2(bitmask_rows(m), len(m[0])) == mod2_rank(m)
 
 
 def test_rank_gf2_simple():

@@ -372,6 +372,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=rf"^--{flag} \({field}=\) entries must be at least 1"):
             small_cycle_spec(**{field: values})
 
+    @pytest.mark.parametrize("family, alphabet, most", [
+        ("cycle", (2, 3), 62), ("unicyclic", (2, 3), 62), ("forest", (2, 3), 63),
+        ("cycle", (2, 3, 4), 39),
+    ])
+    def test_more_weight_tuples_than_a_sample_can_draw_from(self, family, alphabet, most):
+        # a sample draws from range(|alphabet|^free); above sys.maxsize it cannot
+        with pytest.raises(ValueError, match=rf"^--n \(n_values=\) allows n <= {most} "):
+            CampaignSpec(family=family, n_values=(4, most + 1), t_values=(1,),
+                         weight_alphabet=alphabet)
+        spec = CampaignSpec(family=family, n_values=(most,), t_values=(1,),
+                            weight_alphabet=alphabet)
+        free = most - (family == "forest")
+        assert len(verify._weight_tuples(spec, free, "limit")) == spec.sample_size
+        with pytest.raises(OverflowError):
+            verify._weight_tuples(spec, free + 1, "limit")
+
+    def test_one_weight_takes_any_n(self):
+        CampaignSpec(family="cycle", n_values=(1000,), t_values=(1,), weight_alphabet=(2,))
+
     def test_graph_builder_validates_weights(self):
         with pytest.raises(ValueError):
             pendant_path_graph(1, [2, 2, 2])
