@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 _WALK = ("tests/test_betti.py",)
+_COLON = ("tests/test_constructions.py", "tests/test_colon_parts.py")
 
 MUTANTS = (
     # the Mayer-Vietoris tree walk of betti.regularity_witness
@@ -97,7 +98,22 @@ MUTANTS = (
     Mutant("cycle when one vertex hangs off the cycle", "src/edgereg/digraph.py",
            "if len(core) == graph.n_vertices:", "if len(core) >= graph.n_vertices - 1:",
            ("tests/test_digraph.py",)),
+    # the paper's constructions and closed forms
+    Mutant("descent depth ell one level too deep", "src/edgereg/constructions.py",
+           "ell = min(t, n // 2) - 1", "ell = min(t, n // 2)", ("tests/test_colon_parts.py",)),
+    Mutant("q part one term short", "src/edgereg/constructions.py",
+           "for j in range(q + 1):", "for j in range(q):", _COLON),
+    Mutant("k part one single short", "src/edgereg/constructions.py",
+           "for j in range(p)]", "for j in range(p - 1)]", _COLON),
+    Mutant("closed form without its + 1", "src/edgereg/formulas.py",
+           "sum_weights - n_edges + 1 + (t - 1)", "sum_weights - n_edges + (t - 1)",
+           ("tests/test_formulas.py",)),
+    Mutant("sources not exempt from the weight hypothesis", "src/edgereg/digraph.py",
+           " and not graph.is_source(v)", "", ("tests/test_formulas.py",)),
     # checks that refuse work or input before it starts
+    Mutant("a bool taken as a power", "src/edgereg/ring.py",
+           "if type(t) is not int or t < 1:", "if not isinstance(t, int) or t < 1:",
+           ("tests/test_formulas.py::test_a_power_is_a_plain_int_of_at_least_one",)),
     Mutant("unit ideal multiplied at every power", "src/edgereg/ideals.py",
            "if len(ideal) == 1:", "if False:", ("tests/test_ideals.py",)),
     Mutant("power squares once more than t has bits", "src/edgereg/ideals.py",

@@ -13,12 +13,13 @@ here and cross-checked against direct colon computation in the tests.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, mul
 from typing import Iterator
 
 from .digraph import Family, WeightedDigraph, classify
 from .errors import EmptyGraphError, FamilyMismatchError, GeneratorMembershipError
-from .ideals import MonomialIdeal, _minimalize, colon_by_monomial, ideal_sum
-from .ring import Monomial, VariableSet, _check_degree
+from .ideals import MonomialIdeal, _colon, _minimalize, ideal_sum
+from .ring import Monomial, VariableSet, _check_degree, _check_power
 
 
 def edge_ideal(graph: WeightedDigraph) -> MonomialIdeal:
@@ -43,33 +44,17 @@ def _edge_vector(
     return tuple(exps)
 
 
-def _require_cycle(graph: WeightedDigraph) -> tuple[str, ...]:
-    tag = classify(graph)
-    if tag.kind != Family.ORIENTED_CYCLE:
-        raise FamilyMismatchError(f"expected an oriented cycle, got {tag.kind.value}")
-    return tag.cycle
-
-
 def cycle_edge_generators(graph: WeightedDigraph) -> list[Monomial]:
     """The edge generators L_1..L_n, L_i = x_{i-1} * x_i^{w_i}, in cycle
     order, starting from the first-declared vertex."""
-    order = _require_cycle(graph)
-    variables = graph.variable_set()
+    tag = classify(graph)
+    if tag.kind != Family.ORIENTED_CYCLE:
+        raise FamilyMismatchError(f"expected an oriented cycle, got {tag.kind.value}")
+    order, variables = tag.cycle, graph.variable_set()
     return [
-        Monomial.from_dense(variables, _edge_vector(graph, variables, order[i - 1], order[i]))
+        Monomial._new(variables, _edge_vector(graph, variables, order[i - 1], order[i]))
         for i in range(len(order))
     ]
-
-
-def _require_weights_at_least_two(graph: WeightedDigraph, order: tuple[str, ...]) -> list[int]:
-    weights = [graph.weight(v) for v in order]
-    low = [order[i] for i, w in enumerate(weights) if w < 2]
-    if low:
-        raise ValueError(
-            f"the ordered power basis needs every weight >= 2 "
-            f"(unique decomposition can fail otherwise); offending: {', '.join(low)}"
-        )
-    return weights
 
 
 def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -99,20 +84,20 @@ class OrderedPowerBasis:
     __slots__ = ("t", "entries", "_by_monomial", "edge_generators")
 
     def __init__(self, graph: WeightedDigraph, t: int):
-        if t < 1:
-            raise ValueError(f"power must be >= 1, got {t}")
-        order = _require_cycle(graph)
-        _require_weights_at_least_two(graph, order)
+        _check_power(t)
         gens = cycle_edge_generators(graph)
-        n = len(gens)
-        unit = Monomial.unit(graph.variable_set())
+        low = [v for v in graph.vertex_names if graph.weight(v) < 2]
+        if low:
+            raise ValueError(
+                f"the ordered power basis needs every weight >= 2 "
+                f"(unique decomposition can fail otherwise); offending: {', '.join(low)}"
+            )
+        variables = graph.variable_set()
+        columns = list(zip(*[g.dense() for g in gens]))  # one variable's exponents in L_1..L_n
         entries = []
-        for vec in _compositions_desc(t, n):
-            m = unit
-            for i, a in enumerate(vec):
-                if a:
-                    m = m * (gens[i] ** a)
-            entries.append(BasisEntry(vector=vec, monomial=m))
+        for vec in _compositions_desc(t, len(gens)):
+            exps = tuple([sum(map(mul, vec, column)) for column in columns])
+            entries.append(BasisEntry(vec, Monomial._new(variables, exps)))
         self.t = t
         self.entries = tuple(entries)
         self.edge_generators = tuple(gens)
@@ -143,7 +128,7 @@ class OrderedPowerBasis:
             ) from None
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)  # typed, so 2.0 and True reach the check
 def ordered_power_basis(graph: WeightedDigraph, t: int) -> OrderedPowerBasis:
     return OrderedPowerBasis(graph, t)
 
@@ -187,11 +172,12 @@ def build_colon_structure(graph: WeightedDigraph, t: int, i: int) -> ColonStruct
     r = len(basis)
     if not 1 <= i <= r - 1:
         raise IndexError(f"colon structure index {i} out of range 1..{r - 1}")
-    gens = basis.edge_generators
+    gens = [g.dense() for g in basis.edge_generators]
     n = len(gens)
     variables = graph.variable_set()
+    nv = len(variables)
 
-    def L(idx: int) -> Monomial:
+    def L(idx: int) -> tuple[int, ...]:
         return gens[(idx - 1) % n]
 
     entry = basis.entry(i)
@@ -199,33 +185,26 @@ def build_colon_structure(graph: WeightedDigraph, t: int, i: int) -> ColonStruct
     i1, ik = support[0], support[-1]
     p = len(support) - 1 if ik == n else len(support)
 
-    head = colon_by_monomial(
-        MonomialIdeal(variables, [L(j) for j in range(i1 + 1, n + 1)]), L(i1)
-    )
-    singles = [
-        colon_by_monomial(MonomialIdeal(variables, [L(support[j] + 1)]), L(support[j]))
-        for j in range(p)
-    ]
-    k_part = ideal_sum(head, *singles) if singles else head
+    head = [_colon(L(j), L(i1)) for j in range(i1 + 1, n + 1)]
+    singles = [_colon(L(support[j] + 1), L(support[j])) for j in range(p)]
+    k_part = MonomialIdeal._of(variables, _minimalize(nv, head + singles))
 
-    q_part = MonomialIdeal.zero(variables)
+    terms = []
     if i1 == 1:
         ell = min(t, n // 2) - 1
         q = 0
         for cand in range(ell + 1):
             if all(entry.vector[(n + 1 - 2 * s - 1) % n] > 0 for s in range(cand + 1)):
                 q = cand
-        terms = []
-        for j in range(q + 1):
-            top = Monomial.unit(variables)
-            bottom = Monomial.unit(variables)
-            for s in range(j + 1):
-                top = top * L(n - 2 * s)
-                bottom = bottom * L(n + 1 - 2 * s)
-            terms.append(colon_by_monomial(MonomialIdeal(variables, [top]), bottom))
-        q_part = ideal_sum(*terms)
+        top = bottom = (0,) * nv
+        for j in range(q + 1):  # top and bottom are the products over s <= j
+            top = tuple(map(add, top, L(n - 2 * j)))
+            bottom = tuple(map(add, bottom, L(n + 1 - 2 * j)))
+            terms.append(_colon(top, bottom))
+    q_part = MonomialIdeal._of(variables, _minimalize(nv, terms))
 
-    tail = MonomialIdeal(variables, [basis.entry(j).monomial for j in range(i + 1, r + 1)])
+    later = [e.monomial.dense() for e in basis.entries[i:]]
+    tail = MonomialIdeal._of(variables, _minimalize(nv, later))
     return ColonStructure(entry, k_part, q_part, tail)
 
 
@@ -237,9 +216,8 @@ def betti_split_power(graph: WeightedDigraph, t: int) -> tuple[MonomialIdeal, Mo
     """
     basis = ordered_power_basis(graph, t)
     variables = graph.variable_set()
-    first = basis.entry(1).monomial
-    rest = [e.monomial for e in basis.entries[1:]]
+    first, *rest = [e.monomial.dense() for e in basis.entries]
     return (
-        MonomialIdeal(variables, rest),
-        MonomialIdeal(variables, [first]),
+        MonomialIdeal._of(variables, _minimalize(len(variables), rest)),
+        MonomialIdeal._of(variables, (first,)),
     )

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from .digraph import Family, FamilyTag, WeightedDigraph, classify, weight_violations
 from .errors import FamilyMismatchError
+from .ring import _check_power
 
-# Formula arithmetic is exact integer math; the cap just keeps t sane.
+# The closed form is exact integer math, but a campaign also takes the t-th
+# power of each edge ideal, and nothing bounds the products that takes.
 MAX_POWER = 64
 
 
@@ -42,11 +44,6 @@ def closed_form_value(sum_weights: int, n_edges: int, max_weight: int, t: int) -
     return sum_weights - n_edges + 1 + (t - 1) * (max_weight + 1)
 
 
-def _check_t(t: int) -> None:
-    if not 1 <= t <= MAX_POWER:
-        raise ValueError(f"power t must be in 1..{MAX_POWER}, got {t}")
-
-
 def _reject_isolated(graph: WeightedDigraph) -> None:
     isolated = graph.isolated_vertices()
     if isolated:
@@ -69,7 +66,9 @@ def _predict(
 
     ``tag`` is the graph's classification when the caller already has it.
     """
-    _check_t(t)
+    _check_power(t)
+    if t > MAX_POWER:
+        raise ValueError(f"power t must be at most {MAX_POWER}, got {t}")
     if form != "cycle":
         _reject_isolated(graph)
     if tag is None:

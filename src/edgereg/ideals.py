@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import ParseError, VariableSetMismatchError
-from .ring import Monomial, VariableSet, _check_degree, _check_same_ring, _Packing, _text
-from .ring import parse_monomial
+from .ring import Monomial, VariableSet, _check_degree, _check_power, _check_same_ring, _Packing
+from .ring import _text, parse_monomial
 
 Vector = tuple[int, ...]
 
@@ -113,11 +113,16 @@ def ideal_sum(*ideals: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._of(variables, _minimalize(len(variables), vectors))
 
 
+def _colon(a: Vector, b: Vector) -> Vector:
+    """The exponents ``a - min(a, b)`` of the generator of ``(x^a) : x^b``."""
+    return tuple([x - y if x > y else 0 for x, y in zip(a, b)])
+
+
 def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """(I : m), generated by g / gcd(g, m) over the generators g of I."""
     variables = _check_same_ring(ideal, m)
     b = m.dense()
-    vectors = [tuple([x - y if x > y else 0 for x, y in zip(g, b)]) for g in ideal._exps]
+    vectors = [_colon(g, b) for g in ideal._exps]
     return MonomialIdeal._of(variables, _minimalize(len(variables), vectors))
 
 
@@ -146,8 +151,7 @@ def power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
     far, and a set bit multiplies it by the ideal once more, so at most
     2 * floor(log2 t) products are formed, each of a power I^s with s <= t.
     """
-    if t < 1:
-        raise ValueError(f"power exponent must be >= 1, got {t}")
+    _check_power(t)
     if ideal.is_zero:
         return ideal
     _check_degree(t * sum(ideal._exps[-1]))  # every generator has degree >= t * the least
@@ -168,8 +172,9 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Expand every exponent e into e distinct squarefree slot variables.
 
     Base variable ``x`` gets one slot per unit of its largest exponent, and
-    the polarized variable for slot k is named ``x_k``.  Minimal generating
-    sets stay minimal, so the generator count is preserved.
+    the polarized variable for slot k is named ``x_k``.  Polarizing keeps
+    divisibility, degree and lex order, so the generators stay minimal and
+    in descending graded-lex order.
     """
     base = ideal.variables
     slots = [max(column) for column in zip(*ideal._exps)]
@@ -182,9 +187,7 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
         for e, count in zip(v, slots):
             polar += [1] * e + [0] * (count - e)
         gens.append(tuple(polar))
-    out = MonomialIdeal._of(polar_vars, _minimalize(len(polar_vars), gens))
-    assert len(out) == len(ideal), "polarization must preserve the generator count"
-    return out
+    return MonomialIdeal._of(polar_vars, tuple(gens))
 
 
 # -- text form ------------------------------------------------------------

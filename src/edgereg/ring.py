@@ -27,6 +27,12 @@ def _check_degree(degree: int) -> None:
         raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
 
 
+def _check_power(t: int) -> None:
+    """Refuse a power that is not a plain int >= 1; a bool or 2.0 is not taken as an int."""
+    if type(t) is not int or t < 1:
+        raise ValueError(f"power must be an int >= 1, got {t!r}")
+
+
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 

@@ -27,6 +27,7 @@ from edgereg.betti import (
 from edgereg.constructions import build_colon_structure, edge_ideal
 from edgereg.digraph import WeightedDigraph, make_cycle
 from edgereg.errors import ResourceCapError, ZeroIdealError
+from edgereg.homology import covered_homology
 from edgereg.ideals import (
     MonomialIdeal,
     parse_ideal,
@@ -766,3 +767,14 @@ class TestVariableSplitIdentity:
                 assert t_i.regularity() == reg_rule
                 checked += 1
         assert checked >= 5
+
+
+@pytest.mark.parametrize("field", ["gf2", "R"])
+@pytest.mark.parametrize("call", [
+    lambda field: betti_table(parse_ideal("(x1*x2, x2^2)", variable_set(2)), field),
+    lambda field: regularity_witness(parse_ideal("(x1*x2, x2^2)", variable_set(2)), field),
+    lambda field: covered_homology([0b01, 0b10], field),
+], ids=["betti_table", "regularity_witness", "covered_homology"])
+def test_an_unknown_field_is_refused_by_name(call, field):
+    with pytest.raises(ValueError, match=f"unknown field {field!r}"):
+        call(field)

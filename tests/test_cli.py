@@ -321,6 +321,7 @@ class TestBadInput:
             ("verify", "structure", "--n", "3", "--t", "1", "--workers", "2"),
             ("verify", "structure", "--family", "cycle", "--n", "3", "--t", "1"),
             ("verify", "campaign", "--n", "70", "--t", "1"),
+            ("formula", "--graph", "{graph}", "--t", "65"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):

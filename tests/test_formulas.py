@@ -233,3 +233,17 @@ class TestViolationReporting:
         ]
         for r in flagged:
             assert not r.admissible and r.violations
+
+
+@pytest.mark.parametrize("t", [True, 2.0, 0], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda g, t: power(edge_ideal(g), t),
+    formula_cycle,
+    ordered_power_basis,
+], ids=["power", "formula_cycle", "ordered_power_basis"])
+def test_a_power_is_a_plain_int_of_at_least_one(call, t):
+    g = make_cycle([2, 2, 2])
+    # the bases at t = 1 and 2 are cached first, so True and 2.0 would hit them
+    ordered_power_basis(g, 1), ordered_power_basis(g, 2)
+    with pytest.raises(ValueError, match=f"power must be an int >= 1, got {t!r}$"):
+        call(g, t)

@@ -222,6 +222,23 @@ def test_polarize_squarefree_and_degree_preserving(ideal):
     )
 
 
+@given(ideals(max_gens=5))
+def test_polarize_keeps_the_expanded_generators_in_order(ideal):
+    # polarizing keeps divisibility, degree and lex order, so the expanded
+    # generators, in the ideal's order, are already minimal and ordered
+    p = polarize(ideal)
+    index = {name: k for k, name in enumerate(p.variables.names)}
+    expanded = []
+    for g in ideal.generators:
+        v = [0] * len(index)
+        for x, e in zip(ideal.variables.names, g.dense()):
+            for k in range(1, e + 1):
+                v[index[f"{x}_{k}"]] = 1
+        expanded.append(tuple(v))
+    assert [g.dense() for g in p.generators] == expanded
+    assert tuple(expanded) == minimalize_reference(expanded)
+
+
 class TestSupport:
     def test_polarized_support_size(self):
         p = polarize(I("(x1^2*x2)", n=2))
