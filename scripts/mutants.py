@@ -56,6 +56,12 @@ MUTANTS = (
     Mutant("emission pushes pruned at <=", "src/edgereg/betti.py",
            "if bound >= floor:\n                    buckets[bound].append(m)",
            "if bound > floor:\n                    buckets[bound].append(m)", _WALK),
+    Mutant("every tie skipped", "src/edgereg/betti.py",
+           "not (tie and item % mod >= best[0] - best[1])", "not tie", _WALK),
+    Mutant("tie emissions kept at |m| == w + reg", "src/edgereg/betti.py",
+           "item % mod >= best[0] - best[1]", "item % mod > best[0] - best[1]", _WALK),
+    Mutant("tie children built at depth w", "src/edgereg/betti.py",
+           "if tie and d >= -best[1]:", "if tie and d > -best[1]:", _WALK),
     Mutant("walk reads the reduced degree as the homological index", "src/edgereg/betti.py",
            "best = max(best, (sum(b) - h - 1, -h - 1))", "best = max(best, (sum(b) - h, -h))",
            _WALK),
@@ -105,6 +111,8 @@ MUTANTS = (
            "for j in range(q + 1):", "for j in range(q):", _COLON),
     Mutant("k part one single short", "src/edgereg/constructions.py",
            "for j in range(p)]", "for j in range(p - 1)]", _COLON),
+    Mutant("colon tail left in ascending order", "src/edgereg/constructions.py",
+           "tuple(later[::-1])", "tuple(later)", _COLON),
     Mutant("closed form without its + 1", "src/edgereg/formulas.py",
            "sum_weights - n_edges + 1 + (t - 1)", "sum_weights - n_edges + (t - 1)",
            ("tests/test_formulas.py",)),

@@ -14,9 +14,11 @@ The regularity needs no table.  Only the multidegrees that the
 Mayer-Vietoris tree of I emits can carry a Betti number (Saenz-de-Cabezon,
 AAECC 20, 2009), and the tree bounds j - i at each of them.  The search
 walks the tree of the generators in ascending lex order best first,
-building a subtree only when its bound is the highest left, and slices
-exactly the emitted multidegrees whose bound reaches the regularity.
-Degrees are read off the packed exponent vectors (``ring._Packing``).
+building a subtree only when its bound is the highest left.  It slices
+every emitted multidegree whose bound exceeds the regularity; of those
+whose bound equals it, it slices only the ones that could still lower the
+witness's homological index.  Degrees are read off the packed exponent
+vectors (``ring._Packing``).
 
 The slice at b is the complex of squarefree vectors tau inside supp(b)
 with x^b / x^tau still in I.  It is covered by the full simplices
@@ -260,8 +262,15 @@ def regularity_witness(
     pushed would never be popped, and it is not pushed.  Minimalizing can
     leave a child's lcm below its prefix lcm, so a deeper copy of a node
     may be built first; a node met again shallower is built again there.
-    So the slices are exactly the b with |b| - d_min(b) >= reg, and the
-    witness is the least pair achieving reg in the full table.
+    So every b with |b| - d_min(b) > reg is sliced, and none below reg.
+
+    Ties.  With the best at (reg, -w), reg is final in the bucket at reg,
+    and a tie there can only lower w.  So there an emission m is sliced
+    only if |m| < w + reg, since its one tie has i = |m| - reg, and a child
+    at depth d is built only if d < w, since a tie below it has i >= d.
+    This is exact: for the least witness (i, b), either |b| - d_min(b) >
+    reg and b is sliced as above, or i = d_min(b) and every item on the
+    path to b has depth <= i, so it is skipped only once w <= i.
     """
     if ideal.is_zero:
         raise ZeroIdealError("regularity of the zero ideal is undefined")
@@ -308,14 +317,17 @@ def regularity_witness(
         bucket = buckets[bound]
         while bucket:
             item = bucket.pop()
+            tie = bound == best[0]  # see Ties above
             if type(item) is int:
-                if item not in sliced:
+                if item not in sliced and not (tie and item % mod >= best[0] - best[1]):
                     sliced.add(item)
                     b = unpack(item)
                     for h in _slice_homology(masks, b, field):  # beta_{h+1,b} != 0
                         best = max(best, (sum(b) - h - 1, -h - 1))
                 continue
             d, node, k = item
+            if tie and d >= -best[1]:
+                continue
             child = tuple(pk.minimal(pk.joins(node[k], node[:k])))  # ascending lex order
             if seen.get(child, d + 1) > d:
                 build(d, child)

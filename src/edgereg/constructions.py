@@ -203,8 +203,9 @@ def build_colon_structure(graph: WeightedDigraph, t: int, i: int) -> ColonStruct
             terms.append(_colon(top, bottom))
     q_part = MonomialIdeal._of(variables, _minimalize(nv, terms))
 
-    later = [e.monomial.dense() for e in basis.entries[i:]]
-    tail = MonomialIdeal._of(variables, _minimalize(nv, later))
+    # basis entries are minimal generators, so the tail is only put in the ideals' order
+    later = sorted([e.monomial.dense() for e in basis.entries[i:]], key=lambda v: (sum(v), v))
+    tail = MonomialIdeal._of(variables, tuple(later[::-1]))
     return ColonStructure(entry, k_part, q_part, tail)
 
 

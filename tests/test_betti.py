@@ -351,9 +351,14 @@ def test_alternating_betti_sums_match_the_k_polynomial(ideal, field):
 # bound 14 at depths 1 and 2; the ascending order builds it once
 @example(I("(x1^3*x2*x4^3*x5^4, x1*x2^3*x3^2*x4^2*x5^3, x1^2*x3^3*x4*x5^2, x1^3*x2^3*x4)", n=5), "Q")
 # the node (x1^3*x2^3*x3*x4^3*x5) is built at depth 2, where its bound is 9, and
-# then met at depth 1, where it is 10 = reg; a walk that skips every node met
-# before would not slice it
+# then met at depth 1, where it is 10 = reg; the witness beta_{0,10} is found by
+# then, and no tie at depth >= 1 can lower it, so the node is not built again
 @example(I("(x1^3*x2*x3^3*x4^2*x5, x1^2*x2^3*x3*x4^3, x1^3*x4^3*x5, x1^3*x2^2*x3)", n=5), "Q")
+# the node (x1^3*x2^4*x3^4*x4^4*x5^2) is built at depth 3, where its bound is 14 = reg,
+# and then met at depth 2, where it is 15; a walk that skips every node met before
+# would not slice it
+@example(I("(x1^3*x2^3*x4^4, x1^3*x3^4*x4^2*x5, x1*x2^4*x4^4*x5, x1*x2^2*x3*x4^3*x5^3, "
+           "x2*x3^3*x4^3*x5^2)", n=5), "Q")
 # in descending generator order, j - i = 3 is first met at beta_{2,5}, whose
 # multidegree has bound 4, while the witness beta_{0,3} waits in bucket 3; the
 # ascending order meets both in bucket 3
@@ -376,7 +381,10 @@ def test_regularity_search_slices_the_candidates_whose_bound_reaches_it(ideal, f
         reg, witness = regularity_witness(ideal, field)
     candidates = mv_candidates_reference(tuple(g.dense() for g in ideal.generators), 10**6)
     assert len(slices) == len(set(slices))
-    assert set(slices) == {b for b, d in candidates.items() if sum(b) - d >= reg}
+    # every b bounded above reg, and every tie whose i = |b| - reg is below the witness's
+    above = {b for b, d in candidates.items() if sum(b) - d > reg}
+    ties = {b for b, d in candidates.items() if sum(b) - d == reg}
+    assert above | {b for b in ties if sum(b) < witness[1]} <= set(slices) <= above | ties
     table = betti_table(ideal, field)
     assert (reg, witness) == (table.regularity(), table_regularity_witness(table))
 
@@ -405,8 +413,8 @@ def _cycle_ladder(seed: int) -> list[MonomialIdeal]:
     return [power(edge_ideal(graph), t) for graph, t in ladder]
 
 
-def test_the_cycle_ladder_regularities_slice_196_multidegrees(monkeypatch):
-    # the ascending generator order; the descending one slices 328
+def test_the_cycle_ladder_regularities_slice_29_multidegrees(monkeypatch):
+    # 196 if every tie is sliced; with nodes in descending lex order, 64
     import edgereg.betti as betti_module
 
     slices = []
@@ -421,7 +429,17 @@ def test_the_cycle_ladder_regularities_slice_196_multidegrees(monkeypatch):
     assert len(ladder) == 10
     for ideal in ladder:
         regularity(ideal)
-    assert len(slices) == 196
+    assert len(slices) == 29
+
+
+def test_the_cycle_ladder_regularities_build_717_tree_nodes():
+    # the node cap counts the distinct nodes built; 996 if every tie child is built
+    nodes = [33, 56, 108, 60, 132, 136, 18, 18, 69, 87]
+    for ideal, built in zip(_cycle_ladder(0), nodes, strict=True):
+        regularity(ideal, lattice_cap=built)
+        with pytest.raises(ResourceCapError, match=f"node cap {built - 1};"):
+            regularity(ideal, lattice_cap=built - 1)
+    assert sum(nodes) == 717
 
 
 def test_the_regularity_walk_allocates_with_the_work_not_the_degree():

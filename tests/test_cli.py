@@ -125,14 +125,14 @@ class TestRegCommand:
 
 
 class TestLatticeCap:
-    # its Mayer-Vietoris tree has 4 nodes and its lcm lattice 7 points
+    # the regularity walk builds 3 of its 4 Mayer-Vietoris tree nodes; the lcm lattice has 7 points
     TRIANGLE = "(x1*x2^2, x2*x3^2, x3*x1^2)"
 
     def test_capped_reg_fails_until_the_cap_is_raised(self, capsys):
-        code, out, err = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "3")
+        code, out, err = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "2")
         assert code == 2 and out == ""
-        assert "--lattice-cap" in err and "3" in err and "tree" in err
-        code, out, _ = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "4")
+        assert "--lattice-cap" in err and "2" in err and "tree" in err
+        code, out, _ = run_cli(capsys, "reg", "--ideal", self.TRIANGLE, "--lattice-cap", "3")
         assert code == 0
         assert out.splitlines()[0] == "4"
 
@@ -272,7 +272,7 @@ class TestBadInput:
             ("ideal", "--graph", "{malformed}"),
             ("ideal", "--graph", "{numeric_name}"),
             ("ideal", "--graph", "{list_endpoint}"),
-            ("reg", "--ideal", "(x1*x2^2, x2*x3^2, x3*x1^2)", "--lattice-cap", "3"),
+            ("reg", "--ideal", "(x1*x2^2, x2*x3^2, x3*x1^2)", "--lattice-cap", "2"),
             ("verify", "campaign", "--workers", "0"),
             ("verify", "campaign", "--workers", "-3"),
             ("verify", "campaign", "--weights", ""),

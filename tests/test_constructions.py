@@ -197,6 +197,16 @@ class TestColonStructure:
         assert len(s.tail) == 1
         assert s.tail.generators[0] == basis.entry(len(basis)).monomial
 
+    @pytest.mark.parametrize("weights", [(2, 2, 2), (2, 3, 2, 3), (3, 2, 2, 4, 2)])
+    def test_tail_is_the_ideal_of_the_later_entries(self, weights):
+        # the same generators in the same order as a minimalized ideal: equality compares both
+        g = make_cycle(list(weights))
+        for t in (1, 2, 3):
+            basis = ordered_power_basis(g, t)
+            for i in range(1, len(basis)):
+                later = [e.monomial for e in basis.entries[i:]]
+                assert build_colon_structure(g, t, i).tail == MonomialIdeal(g.variable_set(), later)
+
     def test_deep_descent_has_nonzero_q(self):
         # on a 5-cycle squared some generator keeps both the lead edge and
         # the next-to-last edge, forcing a second colon block
