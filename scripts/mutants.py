@@ -66,8 +66,12 @@ MUTANTS = (
            "best = max(best, (sum(b) - h - 1, -h - 1))", "best = max(best, (sum(b) - h, -h))",
            _WALK),
     # the lcm lattice and the table loop of betti.betti_table
-    Mutant("lattice builder drops the generator itself", "src/edgereg/betti.py",
-           "        lattice.add(g)\n", "", _WALK),
+    Mutant("lattice builder drops the generator itself", "src/edgereg/ring.py",
+           "            new.add(g.to_bytes(size, \"big\"))\n", "", _WALK),
+    Mutant("record join without replicated guards", "src/edgereg/ring.py",
+           "self.guards * ones", "self.guards", _WALK),
+    Mutant("table slices the lattice points unsorted", "src/edgereg/betti.py",
+           "pk.unpack_record, sorted(lattice)", "pk.unpack_record, lattice", _WALK),
     Mutant("table records ranks at the reduced degree", "src/edgereg/betti.py",
            "multigraded[(d + 1, bm)] = r", "multigraded[(d, bm)] = r", _WALK),
     # the packed exponent vectors of ring._Packing
@@ -84,6 +88,10 @@ MUTANTS = (
            "if f | c == c:", "if f & c == c:", ("tests/test_homology.py",)),
     Mutant("boundary without signs", "src/edgereg/homology.py",
            "sign = -sign", "sign = sign", ("tests/test_homology.py",)),
+    Mutant("simplex-boundary nerve one degree too high", "src/edgereg/homology.py",
+           "return {len(rows) - 2: 1}", "return {len(rows) - 1: 1}", ("tests/test_homology.py",)),
+    Mutant("sphere test skips the meeting of all covers but the last", "src/edgereg/homology.py",
+           "map(and_, pre, suf[1:])", "map(and_, pre[:-2], suf[1:])", ("tests/test_homology.py",)),
     # the reduce-against-pivots loops of the two rank kernels
     Mutant("integer row not scaled by p/g before the update", "src/edgereg/linalg.py",
            "row = {c: s * v for c, v in row.items()}", "row = {c: v for c, v in row.items()}",

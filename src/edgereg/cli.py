@@ -119,6 +119,12 @@ def _file_path(text: str) -> str:
     return text
 
 
+def _at_least_one(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"needs an int >= 1, got {text!r}")
+    return int(text)
+
+
 def _spec(args, family: str = "cycle", workers: int = 1):
     """The instances of verify campaign or structure; --n defaults by family."""
     from .verify import CampaignSpec
@@ -134,6 +140,8 @@ def cmd_verify(args) -> int:
     # only verify loads the harness, so the other subcommands start faster
     from . import verify
 
+    if args.mode != "examples" and args.max_instances is not None:
+        verify.MAX_INSTANCES = args.max_instances  # read when the run counts its instances
     if args.mode == "examples":
         report = verify.run_reference_examples(args.field, args.lattice_cap)
     elif args.mode == "structure":
@@ -223,6 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         m.add_argument("--t", default="1..2", help="t values (default %(default)s)")
         m.add_argument("--weights", default="2,3", help="weight alphabet (default %(default)s)")
         m.add_argument("--seed", type=int, default=0, help="sampling seed (default %(default)s)")
+        m.add_argument("--max-instances", type=_at_least_one,
+                       help="most instances the run may enumerate (default 100000)")
     campaign.add_argument("--workers", type=int, default=1,
                           help="worker processes (default %(default)s)")
     campaign.add_argument("--csv", type=_file_path, help="also write the records as CSV")

@@ -19,6 +19,10 @@ cone, so the long exact sequence of the pair gives the reduced homology
 of K, over the integers, from the chains of the faces outside the star.
 Only the covers that miss v are enumerated.
 
+A round also stops if every k - 1 of its k covers share a vertex: then the
+nerve is the boundary of the (k-1)-simplex, and by the nerve lemma
+(Bjoerner 1995) K is a (k-2)-sphere up to homotopy, over Q and GF(2) alike.
+
 Conventions: the void complex (no faces at all) has no homology in any
 degree; the complex containing only the empty face has reduced homology
 of rank 1 in degree -1.
@@ -27,6 +31,7 @@ of rank 1 in degree -1.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import and_
 
 from .errors import ResourceCapError
@@ -166,7 +171,8 @@ def covered_homology(covers: list[int], field: str) -> dict[int, int]:
     :func:`enumerate_union_faces`), so an empty cover family is the
     empty-face-only complex, not the void complex.  A vertex shared by all
     covers cones the complex; only the covers of a complex that is not such
-    a cone are reduced, and the survivor is relabelled by the sorted
+    a cone are reduced.  A round whose k covers are a (k-2)-sphere (see
+    above) returns it; any other survivor is relabelled by the sorted
     vertex signatures before it reaches the memo.
     """
     _check_field(field)
@@ -178,8 +184,12 @@ def covered_homology(covers: list[int], field: str) -> dict[int, int]:
     if rows == [0]:
         return {-1: 1}
     while True:
-        if reduce(and_, rows):
+        pre = list(accumulate(rows, and_, initial=-1))  # pre[i]: the AND of rows[:i]
+        if pre[-1]:
             return {}  # a common vertex cones the complex
+        suf = list(accumulate(rows[::-1], and_, initial=-1))[::-1]  # suf[i]: of rows[i:]
+        if all(map(and_, pre, suf[1:])):
+            return {len(rows) - 2: 1}  # every k - 1 of the k rows meet: a (k-2)-sphere
         cols: dict[int, int] = {}
         for i, row in enumerate(rows):
             row_bit = 1 << i

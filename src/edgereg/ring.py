@@ -12,7 +12,7 @@ import re
 import struct
 from itertools import chain
 from operator import add
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DegreeCapError, ParseError, VariableSetMismatchError
 
@@ -95,7 +95,7 @@ class _Packing:
     g > b.
     """
 
-    __slots__ = ("shift", "guards", "mod", "_struct")
+    __slots__ = ("shift", "guards", "mod", "_struct", "unpack_record")
 
     def __init__(self, n: int, vectors: Iterable[tuple[int, ...]], scale: int = 1) -> None:
         """Fields for ``scale`` times the largest exponent of the vectors."""
@@ -109,6 +109,7 @@ class _Packing:
         self.mod = (1 << width) - 1
         self.guards = sum(1 << (k * width + self.shift) for k in range(n))
         self._struct = struct.Struct(f">{n}{code}")
+        self.unpack_record = self._struct.unpack  # of lcm_records
 
     def pack(self, b: tuple[int, ...]) -> int:
         return int.from_bytes(self._struct.pack(*b), "big")
@@ -124,6 +125,30 @@ class _Packing:
             for b in points
             for c in (guards & ~((b | guards) - g),)
         }
+
+    def lcm_records(self, packed: Iterable[int]) -> Iterator[set[bytes]]:
+        """The joins of nonempty subsets of the packed vectors, as big-endian
+        struct records (bytes order is lex order), yielded after each vector
+        so the caller can cap them.  Each vector g is joined with every record
+        at once: the SWAR step of joins on the records concatenated, with
+        ``ones`` holding 1 in each, whose guard bits stop every borrow."""
+        size = self._struct.size
+        split, unit = struct.Struct(f"{size}s").iter_unpack, bytes(size - 1) + b"\1"
+        lattice, new = set(), set()
+        points = ones = 0  # the records of lattice concatenated, and 1 in each
+        for g in packed:
+            width = 8 * size * len(new)
+            points = points << width | int.from_bytes(b"".join(new), "big")
+            ones = ones << width | int.from_bytes(unit * len(new), "big")
+            h, gk = g * ones, self.guards * ones
+            c = gk & ~((points | gk) - h)
+            h = points ^ ((h ^ points) & (c - (c >> self.shift)))  # the joins
+            del gk, c
+            new = {r for (r,) in split(h.to_bytes(len(lattice) * size, "big"))}
+            new.add(g.to_bytes(size, "big"))
+            new -= lattice
+            lattice |= new
+            yield lattice
 
     def minimal(self, packed: Iterable[int]) -> list[int]:
         """The packed vectors that no other one divides, each once, in

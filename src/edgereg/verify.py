@@ -41,6 +41,9 @@ FAMILIES = ("cycle", "forest", "unicyclic", "raw-ideal")
 # fewest vertices of a member of each graph family; raw ideals ignore n
 _MIN_VERTICES = {"cycle": 3, "forest": 2, "unicyclic": 4}
 
+# most instances a campaign or structure run may enumerate, read at each run
+MAX_INSTANCES = 100_000
+
 
 # -- records and reports -----------------------------------------------------
 
@@ -243,6 +246,27 @@ def _weight_tuples(spec: CampaignSpec, n_free: int, label: str) -> list[tuple[in
     ]
 
 
+def _check_instance_count(spec: CampaignSpec) -> None:
+    """Refuse more than MAX_INSTANCES instances before any is built: per n,
+    rooted-tree shapes (OEIS A000081) times weight tuples; times |t|."""
+    limit, forest, size = MAX_INSTANCES, spec.family == "forest", len(spec.t_values)
+    count = spec.sample_size if spec.family == "raw-ideal" else 0
+    trees, sums = [0, 1], [0]  # trees[m] on m vertices; sums[m] = sum of d * trees[d], d | m
+    for n in () if spec.family == "raw-ideal" else spec.n_values:
+        while forest and len(trees) <= n and trees[-1] <= limit:  # the counts never fall
+            m = len(trees) - 1
+            sums.append(sum(d * trees[d] for d in range(1, m + 1) if m % d == 0))
+            trees.append(sum(sums[k] * trees[m + 1 - k] for k in range(1, m + 1)) // m)
+        tuples = len(spec.weight_alphabet) ** (n - forest)
+        tuples = tuples if tuples <= spec.exhaustive_cap else min(spec.sample_size, tuples)
+        count += (trees[min(n, len(trees) - 1)] if forest else 1) * tuples
+        if count * size > limit:
+            break
+    if count * size > limit:
+        raise ResourceCapError(f"the campaign has more than {limit} instances; "
+                               f"raise the limit with --max-instances to proceed")
+
+
 def _canonical_rooted_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Distinct rooted trees on n vertices as parent-edge tuples.
 
@@ -318,6 +342,7 @@ def _family_members(spec: CampaignSpec, label: str = "") -> Iterator[tuple]:
     ``label`` prefixes the seeded sampling labels; the structure checks pass
     their own, so they sample independently of a campaign with the same seed.
     """
+    _check_instance_count(spec)
     if spec.family == "raw-ideal":
         for k in range(spec.sample_size):
             ideal = random_monomial_ideal(

@@ -135,7 +135,7 @@ WIDE_EXPONENTS = sorted(
 
 @st.composite
 def wide_ideals(draw):
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 11))  # records wider than 8 bytes from 9 variables on
     exps = st.lists(st.sampled_from(WIDE_EXPONENTS), min_size=n, max_size=n).filter(any)
     gens = draw(st.lists(exps, min_size=1, max_size=4))
     variables = variable_set(n)
@@ -143,6 +143,9 @@ def wide_ideals(draw):
 
 
 @given(wide_ideals())
+@example(I("(x1*x9, x2*x9^2, x3*x8, x1^2*x4)", n=9))  # 9 one-byte fields
+@example(I("(x1^128*x2, x2^3*x10, x3*x11^2, x1*x11^300)", n=11))  # 11 two-byte fields
+@example(I("(x1^2*x3^128)"))  # a single generator
 @settings(max_examples=150, deadline=None)
 def test_packed_lattice_matches_subset_enumeration_on_wide_exponents(ideal):
     points = lcm_lattice(ideal).multidegrees

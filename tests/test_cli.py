@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -257,6 +258,43 @@ class TestVerifyCommand:
         assert json.loads(out)["spec"]["n_values"] == n_values
 
 
+class TestInstanceLimit:
+    """A run counts its instances before it builds one, and refuses more
+    than ``verify.MAX_INSTANCES``, which ``--max-instances`` sets."""
+
+    @pytest.fixture(autouse=True)
+    def restore_the_limit(self, monkeypatch):
+        from edgereg import verify
+
+        monkeypatch.setattr(verify, "MAX_INSTANCES", verify.MAX_INSTANCES)
+
+    def test_twenty_vertex_forests_are_refused_at_once(self, capsys):
+        # 12,826,228 tree shapes times 10 weight tuples times 2 powers
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "campaign", "--family", "forest", "--n", "20")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: the campaign has more than 100000 instances; "
+                       "raise the limit with --max-instances to proceed\n")
+
+    @pytest.mark.parametrize("mode", ["campaign", "structure"])
+    def test_the_flag_moves_the_limit(self, capsys, mode):
+        # n = 3 over two weights has 8 weight tuples, at t = 1 only
+        argv = ("verify", mode, "--n", "3", "--t", "1", "--max-instances")
+        code, out, err = run_cli(capsys, *argv, "7")
+        assert (code, out) == (2, "")
+        assert "more than 7 instances" in err and "--max-instances" in err
+        code, out, _ = run_cli(capsys, *argv, "8")
+        assert code == 0 and json.loads(out)["records"]
+
+    @pytest.mark.parametrize("value", ["0", "-2", "many"])
+    def test_a_limit_that_is_not_a_positive_int_is_refused(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", "campaign", "--max-instances", value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"argument --max-instances: needs an int >= 1, got {value!r}" in err
+
+
 class TestBadInput:
     """Every rejected input is one ``error:`` line on stderr and exit 2."""
 
@@ -322,6 +360,7 @@ class TestBadInput:
             ("verify", "structure", "--family", "cycle", "--n", "3", "--t", "1"),
             ("verify", "campaign", "--n", "70", "--t", "1"),
             ("formula", "--graph", "{graph}", "--t", "65"),
+            ("verify", "campaign", "--family", "forest", "--n", "20"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):

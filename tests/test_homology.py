@@ -70,6 +70,93 @@ class TestFieldDependence:
         assert dict(_covered_homology_cached(tuple(maximal_masks(faces)), field)) == expected
 
 
+def _faces_of(covers: list[int]) -> set[frozenset]:
+    faces = set()
+    for mask in covers:
+        vertices = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        for k in range(len(vertices) + 1):
+            faces.update(frozenset(c) for c in combinations(vertices, k))
+    return faces
+
+
+def _labelled(covers: list[int], labels: str) -> list[int]:
+    """The covers with vertex v relabelled 17v + 3 when labels are sparse."""
+    if labels == "dense":
+        return covers
+    return [sum(1 << (17 * v + 3) for v in range(c.bit_length()) if c >> v & 1) for c in covers]
+
+
+def _simplex_boundary(k: int, form: str) -> list[int]:
+    """Covers whose nerve is the boundary of the (k-1)-simplex.
+
+    In facet form they are the k facets of that boundary.  In nerve-dual
+    form cover i is every vertex j < k but i, plus a private vertex k + i:
+    a different complex, with the same nerve.
+    """
+    full = (1 << k) - 1
+    if form == "facet":
+        return [full ^ 1 << i for i in range(k)]
+    return [full ^ 1 << i | 1 << (k + i) for i in range(k)]
+
+
+class TestSimplexBoundaryNerve:
+    """A nerve that is the boundary of a simplex is answered before the memo:
+    k covers without a common vertex, every k - 1 of which meet, have the
+    boundary of the (k-1)-simplex as nerve, a (k-2)-sphere."""
+
+    @pytest.fixture
+    def memo_calls(self, monkeypatch):
+        calls = []
+
+        def recording(covers, field):
+            calls.append(covers)
+            return _covered_homology_cached(covers, field)
+
+        monkeypatch.setattr(homology, "_covered_homology_cached", recording)
+        return calls
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    @pytest.mark.parametrize("labels", ["dense", "sparse"])
+    @pytest.mark.parametrize("form", ["facet", "nerve-dual"])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_the_sphere_skips_the_memo(self, memo_calls, k, form, labels, field):
+        covers = _labelled(_simplex_boundary(k, form), labels)
+        assert covered_homology(covers, field) == {k - 2: 1}
+        assert memo_calls == []
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    def test_the_octahedron_boundary_goes_through_the_memo(self, memo_calls, field):
+        # a 2-sphere whose eight triangles have no seven sharing a vertex
+        covers = [1 << a | 1 << b | 1 << c for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+        assert covered_homology(covers, field) == {2: 1}
+        assert covered_homology(covers, field) == reduced_homology_of_face_sets(
+            _faces_of(covers), field)
+        assert memo_calls
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_a_whiskered_boundary_goes_through_the_memo(self, memo_calls, k, field):
+        # the facets of the boundary of the (k-1)-simplex plus an edge {0, k}:
+        # the edge meets only the facets through vertex 0
+        covers = _simplex_boundary(k, "facet") + [1 | 1 << k]
+        assert covered_homology(covers, field) == reduced_homology_of_face_sets(
+            _faces_of(covers), field)
+        assert memo_calls
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_only_the_last_covers_missing_a_meeting_is_not_a_sphere(self, k, field):
+        # cover i < k - 1 is every vertex j < k - 1 but i, plus a private high
+        # vertex; the last cover, the vertices below k - 1, sorts last.  Every
+        # k - 1 covers with the last one meet, the first k - 1 do not: the
+        # nerve is a ball, not the boundary of a simplex
+        low = (1 << (k - 1)) - 1
+        covers = [low ^ 1 << i | 1 << (k + i) for i in range(k - 1)] + [low]
+        assert maximal_masks(covers)[-1] == low
+        assert covered_homology(covers, field) == {}
+        assert reduced_homology_of_face_sets(_faces_of(covers), field) == {}
+
+
 class TestPairWithTheApexStar:
     """``boundary_rank_table`` keeps only the faces outside the apex's closed star."""
 
@@ -185,12 +272,7 @@ def sparse_cover_families(draw):
 @given(sparse_cover_families(), st.sampled_from(["Q", "GF2"]))
 @settings(max_examples=300, deadline=None)
 def test_covered_homology_with_sparse_labels_matches_direct_enumeration(covers, field):
-    faces = set()
-    for mask in covers:
-        vertices = [v for v in range(mask.bit_length()) if mask >> v & 1]
-        for k in range(len(vertices) + 1):
-            faces.update(frozenset(c) for c in combinations(vertices, k))
-    assert covered_homology(covers, field) == reduced_homology_of_face_sets(faces, field)
+    assert covered_homology(covers, field) == reduced_homology_of_face_sets(_faces_of(covers), field)
 
 
 def test_empty_cover_family_is_the_empty_face_complex():

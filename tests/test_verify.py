@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from edgereg import verify
+from edgereg.errors import ResourceCapError
 from edgereg.verify import (
     CampaignReport,
     CampaignSpec,
@@ -394,6 +395,61 @@ class TestSpecValidation:
     def test_graph_builder_validates_weights(self):
         with pytest.raises(ValueError):
             pendant_path_graph(1, [2, 2, 2])
+
+
+
+class TestInstanceCount:
+    """``_check_instance_count`` counts what ``_family_members`` would build."""
+
+    A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811,
+               235381, 634847, 1721159, 4688676, 12826228]
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_one_weight_counts_the_rooted_trees(self, monkeypatch, n):
+        spec = CampaignSpec(family="forest", n_values=(n,), t_values=(1,), weight_alphabet=(2,))
+        monkeypatch.setattr(verify, "MAX_INSTANCES", self.A000081[n - 1])  # read at each run
+        verify._check_instance_count(spec)
+        monkeypatch.setattr(verify, "MAX_INSTANCES", self.A000081[n - 1] - 1)
+        with pytest.raises(ResourceCapError, match="more than"):
+            verify._check_instance_count(spec)
+
+    def test_the_tree_counts_are_the_enumerated_shapes(self):
+        assert self.A000081[:9] == [len(verify._canonical_rooted_trees(n)) for n in range(1, 10)]
+
+    def test_a_huge_forest_is_refused_once_its_count_passes_the_limit(self):
+        spec = CampaignSpec(family="forest", n_values=(10**6,), t_values=(1,), weight_alphabet=(2,))
+        with pytest.raises(ResourceCapError, match="more than 100000 instances"):
+            verify._check_instance_count(spec)
+
+    @pytest.mark.parametrize("spec", [
+        dict(family="cycle", n_values=(3, 4, 5), t_values=(1, 2)),
+        dict(family="forest", n_values=(2, 3, 4, 5, 6), t_values=(1, 2)),
+        dict(family="unicyclic", n_values=(4, 5), t_values=(1, 3), exhaustive_cap=32),
+        dict(family="raw-ideal", n_values=(1,), t_values=(1, 2), sample_size=7),
+        dict(family="cycle", n_values=(40,), t_values=(1,), weight_alphabet=(2,)),
+    ])
+    def test_the_count_is_the_enumerated_count(self, monkeypatch, spec):
+        spec = CampaignSpec(**spec)
+        size = len(enumerate_instances(spec))
+        monkeypatch.setattr(verify, "MAX_INSTANCES", size)
+        assert len(enumerate_instances(spec)) == size
+        monkeypatch.setattr(verify, "MAX_INSTANCES", size - 1)
+        with pytest.raises(ResourceCapError, match=f"more than {size - 1} instances"):
+            enumerate_instances(spec)
+
+    def test_a_refused_run_builds_no_tree(self, monkeypatch):
+        def building(n):
+            raise AssertionError("a tree was enumerated")
+
+        monkeypatch.setattr(verify, "_canonical_rooted_trees", building)
+        spec = CampaignSpec(family="forest", n_values=(14,), t_values=(1,))
+        with pytest.raises(ResourceCapError, match="--max-instances"):
+            run_campaign(spec)
+
+    def test_structure_checks_count_their_instances(self, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_INSTANCES", 7)
+        with pytest.raises(ResourceCapError, match="more than 7 instances"):
+            run_structure_checks(CampaignSpec(family="cycle", n_values=(3,), t_values=(1,)))
 
 
 def _sampled_from_the_full_list(spec, n_free, label):
