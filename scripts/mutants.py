@@ -69,11 +69,18 @@ MUTANTS = (
     Mutant("lattice builder drops the generator itself", "src/edgereg/ring.py",
            "            new.add(g.to_bytes(size, \"big\"))\n", "", _WALK),
     Mutant("record join without replicated guards", "src/edgereg/ring.py",
-           "self.guards * ones", "self.guards", _WALK),
+           "h, gk = g * ones, self.guards * ones", "h, gk = g * ones, self.guards", _WALK),
     Mutant("table slices the lattice points unsorted", "src/edgereg/betti.py",
            "pk.unpack_record, sorted(lattice)", "pk.unpack_record, lattice", _WALK),
     Mutant("table records ranks at the reduced degree", "src/edgereg/betti.py",
            "multigraded[(d + 1, bm)] = r", "multigraded[(d, bm)] = r", _WALK),
+    # the slot joins that build each child of the regularity walk
+    Mutant("slot join without replicated guards", "src/edgereg/ring.py",
+           "self.guards * ones, g * ones", "self.guards, g * ones",
+           ("tests/test_ring.py", *_WALK)),
+    Mutant("slot window one generator off", "src/edgereg/ring.py",
+           "slots & (1 << 8 * size * k) - 1", "slots & (1 << 8 * size * (k - 1)) - 1",
+           ("tests/test_ring.py", *_WALK)),
     # the packed exponent vectors of ring._Packing
     Mutant("degree modulus 2**width", "src/edgereg/ring.py",
            "self.mod = (1 << width) - 1", "self.mod = 1 << width",

@@ -246,7 +246,8 @@ def regularity_witness(
     Every node lists its generators in ascending lex order, the order of
     their packed ints.  The argument holds for any order, but in this one
     the prefix lcms below grow slowly, so more children wait low and are
-    never built.
+    never built.  A child's k lcms are one SWAR step on its node's packed
+    slots (``_Packing.joins``), made when the node's first child is popped.
 
     The walk is best first over buckets of that bound, kept only for the
     bounds in use.  An emission (d, m) waits at |m| - d, and the child at
@@ -282,6 +283,7 @@ def regularity_witness(
     buckets: defaultdict[int, list] = defaultdict(list)
     seen: dict[tuple[int, ...], int] = {}  # node: least depth built
     sliced: set[int] = set()
+    slots: dict[tuple[int, ...], int] = {}  # node: _Packing.slots, once a child is popped
     best = (-1, 0)  # (j - i, -i) of the best pair so far
 
     def build(d: int, node: tuple[int, ...]) -> None:
@@ -290,18 +292,17 @@ def regularity_witness(
             raise ResourceCapError(f"Mayer-Vietoris tree exceeds the node cap {lattice_cap}; "
                                    f"raise it with --lattice-cap (lattice_cap=) to proceed")
         floor = best[0]  # an item bounded below it is never popped
-        prefix = 0
+        prefix = node[0]
         for k, m in enumerate(node):
-            # the running prefix lcm: the join of _Packing.joins, inlined
-            # because this loop runs once per generator of every node built
-            c = guards & ~((prefix | guards) - m)
-            prefix ^= (m ^ prefix) & (c - (c >> shift))
             if m not in sliced:
                 bound = m % mod - d  # the packed degree
                 assert bound >= 0, "each tree level raises the degree"
                 if bound >= floor:
                     buckets[bound].append(m)
             if k:
+                # the running prefix lcm: the SWAR join of _Packing.joins on one slot
+                c = guards & ~((prefix | guards) - m)
+                prefix ^= (m ^ prefix) & (c - (c >> shift))
                 bound = prefix % mod - d - 1
                 assert bound >= 0, "each tree level raises the degree"
                 if bound >= floor:
@@ -326,7 +327,8 @@ def regularity_witness(
             d, node, k = item
             if tie and d >= -best[1]:
                 continue
-            child = tuple(pk.minimal(pk.joins(node[k], node[:k])))  # ascending lex order
+            packed = slots.get(node) or slots.setdefault(node, pk.slots(node))
+            child = tuple(pk.minimal(pk.joins(packed, node[k], k)))  # ascending lex order
             if seen.get(child, d + 1) > d:
                 build(d, child)
         del buckets[bound]

@@ -16,7 +16,7 @@ import sys
 from .betti import DEFAULT_LATTICE_CAP, betti_table, regularity_witness
 from .constructions import edge_ideal, ordered_power_basis
 from .digraph import WeightedDigraph, load_graph
-from .errors import EdgeRegError
+from .errors import EdgeRegError, ResourceCapError
 from .formulas import FORMULA_BY_FAMILY, formula_for_family
 from .ideals import MonomialIdeal, parse_ideal, power
 from .ring import VariableSet
@@ -50,16 +50,19 @@ def _ideal_from_args(args) -> MonomialIdeal:
     return power(ideal, args.power)
 
 
-def _parse_range(flag: str, text: str) -> tuple[int, ...]:
-    """Accept '3..5' or '3,4,5' or '3'."""
+def _parse_range(flag: str, text: str, limit: int) -> tuple[int, ...]:
+    """Accept '3..5' or '3,4,5' or '3'; refuse a range of more than ``limit`` values unbuilt."""
     text = text.strip()
     try:
-        if ".." in text:
-            lo, _, hi = text.partition("..")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        if ".." not in text:
+            return tuple(int(p) for p in text.split(",") if p.strip())
+        lo, hi = map(int, text.partition("..")[::2])
     except ValueError:
         raise ValueError(f"--{flag} takes integers as A..B, A,B,... or A, got {text!r}") from None
+    if hi - lo + 1 > limit:  # every value is one instance at least
+        raise ResourceCapError(f"--{flag} {text} has {hi - lo + 1} values, more than {limit} "
+                               f"instances; raise the limit with --max-instances to proceed")
+    return tuple(range(lo, hi + 1))
 
 
 def _parse_alphabet(text: str) -> tuple[int, ...]:
@@ -127,11 +130,12 @@ def _at_least_one(text: str) -> int:
 
 def _spec(args, family: str = "cycle", workers: int = 1):
     """The instances of verify campaign or structure; --n defaults by family."""
-    from .verify import CampaignSpec
+    from .verify import MAX_INSTANCES, CampaignSpec
 
+    n = args.n or ("4" if family == "unicyclic" else "3..4")
     return CampaignSpec(
-        family, _parse_range("n", args.n or ("4" if family == "unicyclic" else "3..4")),
-        _parse_range("t", args.t), _parse_alphabet(args.weights), seed=args.seed,
+        family, _parse_range("n", n, MAX_INSTANCES), _parse_range("t", args.t, MAX_INSTANCES),
+        _parse_alphabet(args.weights), seed=args.seed,
         field=args.field, lattice_cap=args.lattice_cap, workers=workers,
     )
 

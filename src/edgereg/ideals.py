@@ -138,8 +138,9 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(variables)
     pk = _Packing(len(variables), a._exps + b._exps, 2)
-    pb = list(map(pk.pack, b._exps))
-    exps = _minimal(pk, {g + h for g in map(pk.pack, a._exps) for h in pb})
+    pa, pb = list(map(pk.pack, a._exps)), [] if a is b else list(map(pk.pack, b._exps))
+    # a square (pb empty), as power forms it, sums each unordered pair once
+    exps = _minimal(pk, {g + h for i, g in enumerate(pa) for h in (pb or pa[i:])})
     _check_degree(sum(exps[0]))  # the first generator has the top degree
     return MonomialIdeal._of(variables, exps)
 

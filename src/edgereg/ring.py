@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
+from array import array
 from itertools import chain
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeCapError, ParseError, VariableSetMismatchError
 
@@ -34,6 +36,7 @@ def _check_power(t: int) -> None:
 
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_BIG_ENDIAN = sys.byteorder == "big"  # array("Q") holds native words; slots are little-endian
 
 
 class VariableSet:
@@ -92,10 +95,11 @@ class _Packing:
     ``(b | guards) - g`` mark the fields where b >= g, so g divides b
     exactly when all of them are set, and a join is the SWAR maximum
     ``b ^ ((g ^ b) & m)`` with ``m`` the value bits of the fields where
-    g > b.
+    g > b; on vectors concatenated, ``g * ones`` and ``guards * ones`` join all.
     """
 
-    __slots__ = ("shift", "guards", "mod", "_struct", "unpack_record")
+    __slots__ = ("shift", "guards", "mod", "_struct", "unpack_record", "_slot")
+    _ones: dict[tuple[int, int], int] = {}  # (slot bytes, k): 1 in each of k slots of joins
 
     def __init__(self, n: int, vectors: Iterable[tuple[int, ...]], scale: int = 1) -> None:
         """Fields for ``scale`` times the largest exponent of the vectors."""
@@ -110,6 +114,7 @@ class _Packing:
         self.guards = sum(1 << (k * width + self.shift) for k in range(n))
         self._struct = struct.Struct(f">{n}{code}")
         self.unpack_record = self._struct.unpack  # of lcm_records
+        self._slot = -(-self._struct.size // 8) * 8  # bytes of a slot of joins: whole words
 
     def pack(self, b: tuple[int, ...]) -> int:
         return int.from_bytes(self._struct.pack(*b), "big")
@@ -117,14 +122,32 @@ class _Packing:
     def unpack(self, b: int) -> tuple[int, ...]:
         return self._struct.unpack(b.to_bytes(self._struct.size, "big"))
 
-    def joins(self, g: int, points: Iterable[int]) -> set[int]:
-        """The packed lcms of g with each of the points."""
-        guards, shift = self.guards, self.shift
-        return {
-            b ^ ((g ^ b) & (c - (c >> shift)))
-            for b in points
-            for c in (guards & ~((b | guards) - g),)
-        }
+    def slots(self, packed: Sequence[int]) -> int:
+        """The packed vectors in the slots of joins, the first least significant."""
+        if self._slot > 8:
+            size = self._slot
+            return int.from_bytes(b"".join(g.to_bytes(size, "little") for g in packed), "little")
+        words = array("Q", packed)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return int.from_bytes(words, "little")
+
+    def joins(self, slots: int, g: int, k: int) -> Sequence[int]:
+        """The packed lcms of g with each of the first k vectors of
+        ``slots(vectors)``, in their order, from one SWAR step on their slots."""
+        size = self._slot
+        ones = _Packing._ones.get((size, k)) or _Packing._ones.setdefault(
+            (size, k), int.from_bytes((b"\1" + bytes(size - 1)) * k, "little"))
+        points, guards, h = slots & (1 << 8 * size * k) - 1, self.guards * ones, g * ones
+        c = guards & ~((points | guards) - h)
+        h = points ^ ((h ^ points) & (c - (c >> self.shift)))
+        data = h.to_bytes(size * k, "little")
+        if size > 8:
+            return [int.from_bytes(data[i:i + size], "little") for i in range(0, size * k, size)]
+        joins = array("Q", data)  # no object per join until read, and none the collector tracks
+        if _BIG_ENDIAN:
+            joins.byteswap()
+        return joins
 
     def lcm_records(self, packed: Iterable[int]) -> Iterator[set[bytes]]:
         """The joins of nonempty subsets of the packed vectors, as big-endian

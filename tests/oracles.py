@@ -118,6 +118,11 @@ def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The lcm of two exponent tuples: their tuple-wise max."""
+    return tuple(map(max, a, b))
+
+
 def support(vectors: Iterable[tuple[int, ...]]) -> frozenset[int]:
     """The variable indices with a nonzero exponent in some vector."""
     return frozenset(i for v in vectors for i, e in enumerate(v) if e)
@@ -212,7 +217,7 @@ def mv_candidates_reference(
                 if not k:
                     continue
                 kept: list[tuple[int, ...]] = []
-                for b in sorted({tuple(map(max, a, m)) for a in node[:k]}):  # divisors first
+                for b in sorted({join(a, m) for a in node[:k]}):  # divisors first
                     if not any(divides(g, b) for g in kept):
                         kept.append(b)
                 child = tuple(kept)

@@ -624,6 +624,9 @@ def _sweep_ideals():
 
 
 @given(ideals(n_vars=3, max_gens=4, max_exp=3), st.sampled_from(["Q", "GF2"]))
+# records wider than one 64-bit word: the children join in two- and three-word slots
+@example(I("(x1*x9, x2*x9^2, x3*x8, x1^2*x4, x5*x7*x9)", n=9), "Q")  # 9 one-byte fields
+@example(I("(x1^128*x2, x2^3*x10, x3*x11^2, x1*x11^300, x4*x5*x10)", n=11), "GF2")  # 11 two-byte
 @settings(max_examples=60, deadline=None)
 def test_regularity_search_matches_reference(ideal, field):
     assert regularity(ideal, field) == regularity_reference(ideal, field)

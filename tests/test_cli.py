@@ -277,6 +277,20 @@ class TestInstanceLimit:
         assert err == ("error: the campaign has more than 100000 instances; "
                        "raise the limit with --max-instances to proceed\n")
 
+    @pytest.mark.parametrize("flag", ["--n", "--t"])
+    def test_a_range_longer_than_the_limit_is_refused_unbuilt(self, capsys, flag):
+        # every value is one instance at least; the tuple of a billion would take gigabytes
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "campaign", flag, "3..1000000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: {flag} 3..1000000000 has 999999998 values, more than 100000 "
+                       f"instances; raise the limit with --max-instances to proceed\n")
+        code, out, err = run_cli(capsys, "verify", "campaign", flag, "3..12",
+                                 "--max-instances", "9")
+        assert (code, out) == (2, "")
+        assert "3..12 has 10 values, more than 9 instances" in err
+
     @pytest.mark.parametrize("mode", ["campaign", "structure"])
     def test_the_flag_moves_the_limit(self, capsys, mode):
         # n = 3 over two weights has 8 weight tuples, at t = 1 only
@@ -361,6 +375,8 @@ class TestBadInput:
             ("verify", "campaign", "--n", "70", "--t", "1"),
             ("formula", "--graph", "{graph}", "--t", "65"),
             ("verify", "campaign", "--family", "forest", "--n", "20"),
+            ("verify", "campaign", "--n", "3..1000000"),
+            ("verify", "structure", "--n", "3", "--t", "1..1000000"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edgereg.constructions import edge_ideal
+from edgereg.digraph import make_cycle
 from edgereg.errors import DegreeCapError, VariableSetMismatchError, ZeroIdealError
 from edgereg.ideals import (
     MonomialIdeal,
@@ -20,7 +22,8 @@ from edgereg.ideals import (
 )
 from edgereg.ring import DEGREE_CAP, Monomial, VariableSet, parse_monomial
 
-from conftest import ideal_pairs, ideals, monomials, nonunit_monomials, variable_set
+from conftest import ideal_pairs, ideals, monomials, nonunit_monomials, seeded_random_ideal
+from conftest import variable_set
 from oracles import (
     colon_by_ideal,
     contains_ideal,
@@ -393,6 +396,15 @@ def test_power_forms_at_most_two_products_per_bit(monkeypatch, text, t, want, mo
     monkeypatch.setattr(ideals_module, "product", counting)
     assert power(I(text, n=2), t) == MonomialIdeal(V2, [Monomial.from_dense(V2, v) for v in want])
     assert len(calls) <= most
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_square_has_the_generators_of_the_product_with_a_copy(seed):
+    # product(a, a) sums each unordered pair once; a copy of a takes the general path
+    ideal = (seeded_random_ideal(f"square:{seed}", max_generators=6) if seed
+             else power(edge_ideal(make_cycle([2, 3, 2, 2, 2])), 2))
+    copy = MonomialIdeal._of(ideal.variables, ideal._exps)
+    assert product(ideal, ideal)._exps == product(ideal, copy)._exps
 
 
 @given(ideals(n_vars=3, max_gens=3, max_exp=2), st.integers(1, 6))

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import edgereg.ring as ring
@@ -9,7 +9,7 @@ from edgereg.errors import DegreeCapError, ParseError, VariableSetMismatchError
 from edgereg.ring import Monomial, VariableSet, parse_monomial
 
 from conftest import monomials, variable_set
-from oracles import divides
+from oracles import divides, join
 
 
 def M(text: str, n: int = 3) -> Monomial:
@@ -20,9 +20,9 @@ def lcm(*monomials: Monomial) -> tuple[int, ...]:
     """The lcm of the monomials through the packed join of the engine."""
     vectors = [m.dense() for m in monomials]
     pk = ring._Packing(len(vectors[0]), vectors)
-    joined = pk.pack(vectors[0])
-    for v in vectors[1:]:
-        (joined,) = pk.joins(pk.pack(v), [joined])
+    joined, *rest = map(pk.pack, vectors)
+    for g in rest:
+        (joined,) = pk.joins(pk.slots([joined, g]), g, 1)
     return pk.unpack(joined)
 
 
@@ -198,3 +198,29 @@ def test_packed_degree_is_the_sum_of_the_exponents(vectors):
     join = tuple(map(max, zip(*vectors)))  # the lcm of them all has the largest degree
     for v in [*vectors, join]:
         assert pk.pack(v) % pk.mod == sum(v)
+
+
+@st.composite
+def pivots(draw):
+    """Exponent vectors of 1 to 11 variables and a pivot k, 1 <= k < r.
+
+    The largest exponent picks the fields: 127 and 128 straddle the guard
+    bit of a one-byte field, and past 255 they take two bytes.  From 9
+    variables on, even one-byte records are wider than one 64-bit slot.
+    """
+    n = draw(st.integers(1, 11))
+    top = draw(st.sampled_from([4, 127, 128, 255, 256, 300]))
+    exponent = st.one_of(st.integers(0, 4), st.just(top))
+    vectors = draw(st.lists(st.tuples(*[exponent] * n), min_size=2, max_size=9))
+    return vectors, draw(st.integers(1, len(vectors) - 1))
+
+
+@given(pivots())
+@example(([(1,) * 9, (2,) + (0,) * 8, (0,) * 8 + (3,)], 2))  # 9 one-byte fields in two words
+@example(([(128, 0), (0, 300), (127, 1)], 1))  # two-byte fields in one word
+def test_slot_joins_are_the_tuple_wise_max(case):
+    vectors, k = case
+    pk = ring._Packing(len(vectors[0]), vectors)
+    packed = list(map(pk.pack, vectors))
+    joins = pk.joins(pk.slots(packed), packed[k], k)
+    assert [pk.unpack(b) for b in joins] == [join(v, vectors[k]) for v in vectors[:k]]
