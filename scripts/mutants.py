@@ -48,7 +48,9 @@ MUTANTS = (
     Mutant("child bounded by |m_k|, not the prefix lcm", "src/edgereg/betti.py",
            "bound = prefix % mod - d - 1", "bound = m % mod - d - 1", _WALK),
     Mutant("stop at <=", "src/edgereg/betti.py",
-           "if bound < best[0]:", "if bound <= best[0]:", _WALK),
+           "if bound < best[0] + lift:", "if bound <= best[0] + lift:", _WALK),
+    Mutant("value-only walk stops one bucket early", "src/edgereg/betti.py",
+           "lift = 0 if ties else 1", "lift = 0 if ties else 2", _WALK),
     Mutant("emissions bucketed at depth d + 1", "src/edgereg/betti.py",
            "bound = m % mod - d  #", "bound = m % mod - d - 1  #", _WALK),
     Mutant("seen set skips every node met before", "src/edgereg/betti.py",
@@ -88,6 +90,10 @@ MUTANTS = (
     Mutant("degree modulus 2**width - 2", "src/edgereg/ring.py",
            "self.mod = (1 << width) - 1", "self.mod = (1 << width) - 2",
            ("tests/test_ideals.py", *_WALK)),
+    Mutant("packing cache keyed by n alone", "src/edgereg/ring.py",
+           "cls._shapes.get((n, width))\n        if self is None:\n            self = cls._shapes[n, width]",
+           "cls._shapes.get(n)\n        if self is None:\n            self = cls._shapes[n]",
+           ("tests/test_ring.py",)),
     # the reduced homology of a union of simplices
     Mutant("apex weighted by cover count, not 2^|C|", "src/edgereg/homology.py",
            "w = 1 << cover.bit_count()", "w = 1", ("tests/test_homology.py",)),

@@ -228,13 +228,9 @@ def betti_table(
     return BettiTable(field, multigraded)
 
 
-def regularity_witness(
-    ideal: MonomialIdeal,
-    field: str = FIELD_Q,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> tuple[int, tuple[int, int]]:
-    """(regularity, the lexicographically least (i, j) achieving it),
-    without a table; ``lattice_cap`` caps the distinct tree nodes built.
+def _walk(ideal: MonomialIdeal, field: str, lattice_cap: int, ties: bool) -> tuple[int, int]:
+    """(reg, -i) for the least witness (i, reg + i) if ``ties``, else for
+    some pair achieving reg; ``lattice_cap`` caps the distinct tree nodes built.
 
     A node at depth d with generators m_1..m_r emits (d, m_k) for every k;
     for k >= 2 its child at depth d + 1 is the minimalized
@@ -255,21 +251,24 @@ def regularity_witness(
     below it divides that prefix lcm.  A degree is the packed int modulo
     ``2**width - 1``: each field weighs ``2**width ≡ 1``, and the fields
     are sized so that the sum stays below the modulus.  Both bounds are at
-    most the bound of the item that pushes them, so the buckets drain from
-    the root's down, and the walk stops at the first bucket below the best
-    j - i found.  The best only grows, so an item bounded below it when
-    pushed would never be popped, and it is not pushed.  Minimalizing can
+    most the bound of the item that pushes them, so pushes never go above
+    the bucket B being drained, and every emission bounded above B is
+    sliced before B opens: any slice in B gives j - i <= B.  So the value
+    is final once the best j - i reaches B, where the walk stops without
+    ``ties``; with them it stops at the first bucket below the best.  An
+    item bounded below where the walk stops would never be popped, and as
+    the best only grows, it is not pushed.  Minimalizing can
     leave a child's lcm below its prefix lcm, so a deeper copy of a node
     may be built first; a node met again shallower is built again there.
     So every b with |b| - d_min(b) > reg is sliced, and none below reg.
 
-    Ties.  With the best at (reg, -w), reg is final in the bucket at reg,
-    and a tie there can only lower w.  So there an emission m is sliced
-    only if |m| < w + reg, since its one tie has i = |m| - reg, and a child
-    at depth d is built only if d < w, since a tie below it has i >= d.
-    This is exact: for the least witness (i, b), either |b| - d_min(b) >
-    reg and b is sliced as above, or i = d_min(b) and every item on the
-    path to b has depth <= i, so it is skipped only once w <= i.
+    Ties, searched with ``ties``.  With the best at (reg, -w), reg is final
+    in the bucket at reg, and a tie there can only lower w.  So there an
+    emission m is sliced only if |m| < w + reg, since its one tie has
+    i = |m| - reg, and a child at depth d is built only if d < w, since a
+    tie below it has i >= d.  This is exact: for the least witness (i, b),
+    either |b| - d_min(b) > reg and b is sliced as above, or i = d_min(b)
+    and every item on the path to b has depth <= i, skipped only once w <= i.
     """
     if ideal.is_zero:
         raise ZeroIdealError("regularity of the zero ideal is undefined")
@@ -285,13 +284,14 @@ def regularity_witness(
     sliced: set[int] = set()
     slots: dict[tuple[int, ...], int] = {}  # node: _Packing.slots, once a child is popped
     best = (-1, 0)  # (j - i, -i) of the best pair so far
+    lift = 0 if ties else 1  # an item bounded below best[0] + lift cannot change the answer
 
     def build(d: int, node: tuple[int, ...]) -> None:
         seen[node] = d
         if len(seen) > lattice_cap:
             raise ResourceCapError(f"Mayer-Vietoris tree exceeds the node cap {lattice_cap}; "
                                    f"raise it with --lattice-cap (lattice_cap=) to proceed")
-        floor = best[0]  # an item bounded below it is never popped
+        floor = best[0] + lift  # an item bounded below it is never popped
         prefix = node[0]
         for k, m in enumerate(node):
             if m not in sliced:
@@ -311,10 +311,10 @@ def regularity_witness(
     build(0, tuple(sorted(map(pk.pack, gens))))  # ascending lex order
     while buckets:
         bound = max(buckets)  # pushes never go above the bucket being drained
-        if bound < best[0]:
+        if bound < best[0] + lift:  # see the stop rule above
             break
         bucket = buckets[bound]
-        while bucket:
+        while bucket and bound >= best[0] + lift:  # without ties, stop once the value is final
             item = bucket.pop()
             tie = bound == best[0]  # see Ties above
             if type(item) is int:
@@ -332,6 +332,17 @@ def regularity_witness(
             if seen.get(child, d + 1) > d:
                 build(d, child)
         del buckets[bound]
+    return best
+
+
+def regularity_witness(
+    ideal: MonomialIdeal,
+    field: str = FIELD_Q,
+    lattice_cap: int = DEFAULT_LATTICE_CAP,
+) -> tuple[int, tuple[int, int]]:
+    """(regularity, the lexicographically least (i, j) achieving it),
+    without a table; ``lattice_cap`` caps the distinct tree nodes built."""
+    best = _walk(ideal, field, lattice_cap, True)
     return best[0], (-best[1], best[0] - best[1])
 
 
@@ -341,5 +352,5 @@ def regularity(
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> int:
     """max{j - i : beta_{i,j} != 0}; ``lattice_cap`` caps tree nodes."""
-    return regularity_witness(ideal, field, lattice_cap)[0]
+    return _walk(ideal, field, lattice_cap, False)[0]
 

@@ -96,12 +96,16 @@ class _Packing:
     exactly when all of them are set, and a join is the SWAR maximum
     ``b ^ ((g ^ b) & m)`` with ``m`` the value bits of the fields where
     g > b; on vectors concatenated, ``g * ones`` and ``guards * ones`` join all.
+
+    All a packing holds depends on n and the field width alone, so each
+    (n, width) has one packing, made the first time it is asked for.
     """
 
     __slots__ = ("shift", "guards", "mod", "_struct", "unpack_record", "_slot")
     _ones: dict[tuple[int, int], int] = {}  # (slot bytes, k): 1 in each of k slots of joins
+    _shapes: dict[tuple[int, int], "_Packing"] = {}  # (n, width): the packing of that shape
 
-    def __init__(self, n: int, vectors: Iterable[tuple[int, ...]], scale: int = 1) -> None:
+    def __new__(cls, n: int, vectors: Iterable[tuple[int, ...]], scale: int = 1) -> "_Packing":
         """Fields for ``scale`` times the largest exponent of the vectors."""
         top = scale * max(chain.from_iterable(vectors), default=0)
         for width, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
@@ -109,12 +113,16 @@ class _Packing:
                 break
         else:
             raise DegreeCapError(f"{n} exponents up to {top} do not fit a 64-bit field")
-        self.shift = width - 1
-        self.mod = (1 << width) - 1
-        self.guards = sum(1 << (k * width + self.shift) for k in range(n))
-        self._struct = struct.Struct(f">{n}{code}")
-        self.unpack_record = self._struct.unpack  # of lcm_records
-        self._slot = -(-self._struct.size // 8) * 8  # bytes of a slot of joins: whole words
+        self = cls._shapes.get((n, width))
+        if self is None:
+            self = cls._shapes[n, width] = object.__new__(cls)
+            self.shift = width - 1
+            self.mod = (1 << width) - 1
+            self.guards = sum(1 << (k * width + self.shift) for k in range(n))
+            self._struct = struct.Struct(f">{n}{code}")
+            self.unpack_record = self._struct.unpack  # of lcm_records
+            self._slot = -(-self._struct.size // 8) * 8  # bytes of a slot of joins: whole words
+        return self
 
     def pack(self, b: tuple[int, ...]) -> int:
         return int.from_bytes(self._struct.pack(*b), "big")

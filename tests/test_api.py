@@ -98,12 +98,16 @@ def _package_classes(trees: dict) -> list[tuple[str, ast.ClassDef]]:
     ]
 
 
-def _constructor_callees(klass: ast.ClassDef, classes) -> set[str]:
+# both run when the class is called, with the arguments of the call
+_CONSTRUCTORS = ("__init__", "__new__")
+
+
+def _constructor_callees(klass: ast.ClassDef, classes, name: str) -> set[str]:
     """A constructor runs when its class is called, or a subclass that keeps it."""
     return {klass.name} | {
         sub.name for _, sub in classes
         if klass.name in {getattr(b, "id", None) for b in sub.bases}
-        and not any(getattr(f, "name", None) == "__init__" for f in sub.body)
+        and not any(getattr(f, "name", None) == name for f in sub.body)
     }
 
 
@@ -120,14 +124,14 @@ def test_every_class_member_has_a_caller():
     classes = _package_classes(trees)
     unused = []
     for module, klass in classes:
-        # a constructor may also run through cls(...) in a classmethod
-        constructs = _constructor_callees(klass, classes)
         own_calls = {_callee(n) for n in ast.walk(klass) if isinstance(n, ast.Call)}
         for member in klass.body:
             if not isinstance(member, ast.FunctionDef):
                 continue
             name = member.name
-            if name == "__init__":
+            if name in _CONSTRUCTORS:
+                # a constructor may also run through cls(...) in a classmethod
+                constructs = _constructor_callees(klass, classes, name)
                 used = bool(constructs & called) or "cls" in own_calls
             elif name.startswith("__") and name.endswith("__"):
                 continue  # dunders run through syntax: ==, len, str, *
@@ -208,8 +212,8 @@ def test_every_defaulted_parameter_is_passed():
             klass = methods.get(id(fn))
             static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
             callees = {fn.name}
-            if klass is not None and fn.name == "__init__":
-                callees = _constructor_callees(klass, classes)
+            if klass is not None and fn.name in _CONSTRUCTORS:
+                callees = _constructor_callees(klass, classes, fn.name)
             offset = 1 if klass is not None and not static else 0
             for position, name in _defaulted(fn, offset):
                 qualified = f"{path.stem}.{klass.name + '.' if klass else ''}{fn.name}({name}=)"

@@ -416,8 +416,8 @@ def _cycle_ladder(seed: int) -> list[MonomialIdeal]:
     return [power(edge_ideal(graph), t) for graph, t in ladder]
 
 
-def test_the_cycle_ladder_regularities_slice_29_multidegrees(monkeypatch):
-    # 196 if every tie is sliced; with nodes in descending lex order, 64
+def _ladder_slices(monkeypatch, walk) -> int:
+    """The slices the walk takes over the seed-0 cycle ladder over Q."""
     import edgereg.betti as betti_module
 
     slices = []
@@ -431,18 +431,73 @@ def test_the_cycle_ladder_regularities_slice_29_multidegrees(monkeypatch):
     ladder = _cycle_ladder(0)
     assert len(ladder) == 10
     for ideal in ladder:
-        regularity(ideal)
-    assert len(slices) == 29
+        walk(ideal)
+    return len(slices)
+
+
+def _assert_ladder_nodes(walk, nodes: list[int]) -> None:
+    """The node cap counts the distinct nodes built: each ideal of the
+    seed-0 ladder fits the cap nodes[k] and not one less."""
+    for ideal, built in zip(_cycle_ladder(0), nodes, strict=True):
+        walk(ideal, lattice_cap=built)
+        with pytest.raises(ResourceCapError, match=f"node cap {built - 1};"):
+            walk(ideal, lattice_cap=built - 1)
+
+
+def test_the_cycle_ladder_regularities_slice_29_multidegrees(monkeypatch):
+    # the witness walk; 196 if every tie is sliced; with nodes in descending lex order, 64
+    assert _ladder_slices(monkeypatch, regularity_witness) == 29
 
 
 def test_the_cycle_ladder_regularities_build_717_tree_nodes():
-    # the node cap counts the distinct nodes built; 996 if every tie child is built
+    # the witness walk; 996 if every tie child is built
     nodes = [33, 56, 108, 60, 132, 136, 18, 18, 69, 87]
-    for ideal, built in zip(_cycle_ladder(0), nodes, strict=True):
-        regularity(ideal, lattice_cap=built)
-        with pytest.raises(ResourceCapError, match=f"node cap {built - 1};"):
-            regularity(ideal, lattice_cap=built - 1)
+    _assert_ladder_nodes(regularity_witness, nodes)
     assert sum(nodes) == 717
+
+
+def test_the_value_only_ladder_regularities_slice_16_multidegrees(monkeypatch):
+    # regularity() stops at the first bucket its value reaches and searches no tie
+    assert _ladder_slices(monkeypatch, regularity) == 16
+
+
+def test_the_value_only_ladder_regularities_build_685_tree_nodes():
+    nodes = [32, 55, 108, 60, 132, 122, 18, 17, 67, 74]
+    _assert_ladder_nodes(regularity, nodes)
+    assert sum(nodes) == 685
+
+
+@given(st.one_of(ideals(n_vars=3, max_gens=4, max_exp=3), cycle_powers()), st.sampled_from(["Q", "GF2"]))
+# j - i = 3 is first met in bucket 3, where the witness walk goes on to search the ties
+@example(edge_ideal(make_cycle([1, 1, 1, 2])), "GF2")
+# j - i = 4 is first met at beta_{2,6}, whose multidegree has bound 5
+@example(I("(x1^2*x2*x3, x1^2*x3^2, x1^2*x4, x2*x3^2)", n=4), "Q")
+# reg is one above the best found when its bucket opens, so a walk that stops
+# once the best is within one of the bucket returns reg - 1 (about one random
+# ideal in 6,000 does this)
+@example(I("(x1^2*x2^2*x5^2, x1*x2^2*x3*x5^2, x1*x3^2*x4*x5^2, x2^2*x3*x4*x5, x1*x2*x3^2, x4^2)",
+           n=5), "Q")
+@example(I("(x1*x3*x6*x7, x1*x4*x6*x7, x2*x3*x7, x2*x6*x7, x3*x4*x7, x5*x6*x7, x2*x4, x3*x5)", n=7),
+         "GF2")
+@settings(max_examples=80, deadline=None)
+def test_the_value_only_walk_agrees_with_the_witness_walk_and_the_table(ideal, field):
+    import edgereg.betti as betti_module
+
+    slices = []
+    original = betti_module._slice_homology
+
+    def recording(le, b, *rest):
+        slices.append(b)
+        return original(le, b, *rest)
+
+    with mock.patch.object(betti_module, "_slice_homology", recording):
+        reg = regularity(ideal, field)
+    assert reg == regularity_witness(ideal, field)[0] == betti_table(ideal, field).regularity()
+    candidates = mv_candidates_reference(tuple(g.dense() for g in ideal.generators), 10**6)
+    assert len(slices) == len(set(slices))
+    above = {b for b, d in candidates.items() if sum(b) - d > reg}
+    ties = {b for b, d in candidates.items() if sum(b) - d == reg}
+    assert above <= set(slices) <= above | ties
 
 
 def test_the_regularity_walk_allocates_with_the_work_not_the_degree():

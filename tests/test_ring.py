@@ -191,6 +191,16 @@ def test_packed_fields_hold_the_total_degree(n, top, width):
     assert pk.pack((top,) * n) % pk.mod == n * top
 
 
+def test_one_packing_per_variable_count_and_field_width():
+    narrow = ring._Packing(3, [(1, 2, 3)])
+    assert ring._Packing(3, [(0, 0, 84)]) is narrow
+    wide = ring._Packing(3, [(1, 2, 3)], 50)  # 150 takes two-byte fields
+    assert wide is ring._Packing(3, [(85, 0, 0)]) is not narrow
+    assert (narrow.mod, wide.mod) == ((1 << 8) - 1, (1 << 16) - 1)
+    assert wide.pack((150, 0, 1)) % wide.mod == 151
+    assert ring._Packing(4, [(1, 2, 3, 4)]) is not narrow
+
+
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.tuples(*[st.integers(0, 300)] * n), min_size=1, max_size=4)))
 def test_packed_degree_is_the_sum_of_the_exponents(vectors):
