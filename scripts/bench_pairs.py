@@ -5,8 +5,9 @@ Runs ``edgebench/run.py`` from two checkouts, a parent and a change, one
 pair per (workload, seed), and alternates which side runs first from pair
 to pair.  For each workload and end-to-end metric it prints the median and
 quartiles of each side and the pairs in which the change did better, in
-the direction ``BENCHMARK.json`` gives.  It flags any seed whose output
-digests differ between the sides, and any run that was not correct.
+the direction ``BENCHMARK.json`` gives, and a one-word verdict (``verdict``
+below).  It flags any seed whose output digests differ between the sides,
+and any run that was not correct.
 
 The change-side records go, as run.py wrote them, to ``--out`` (one JSON
 list): the untraced runs at seeds 0 and 7 and one traced run at seed 0 per
@@ -51,6 +52,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q2, q1, q3
 
 
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """How a metric's pairs read, by the rule a benchmark comparison applies.
+
+    The ``bound`` of a metric in ``BENCHMARK.json`` is a fraction of the
+    parent's median.  ``unresolved``: either side's interquartile range is
+    wider than the bound, and not every change run beats every parent run.
+    ``regressed``: the change's median is worse by more than the bound.
+    ``met``: the change did better in at least 9 of 10 pairs, ties counting
+    for neither side, and its median is better by more than the parent's
+    interquartile range.  ``within``: none of these.
+    """
+    (pm, p1, p3), (cm, c1, c3) = quartiles(parent), quartiles(change)
+    sign = 1 if metric["better"] == "lower" else -1
+    bound = metric["bound"] * abs(pm)
+    won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    apart = all(sign * (c - p) < 0 for p in parent for c in change)
+    if max(p3 - p1, c3 - c1) > bound and not apart:
+        return "unresolved"
+    if sign * (cm - pm) > bound:
+        return "regressed"
+    if 10 * won >= 9 * len(parent) and sign * (pm - cm) > p3 - p1:
+        return "met"
+    return "within"
+
+
 def report(workload: str, metrics: list[dict], pairs: list[dict]) -> list[str]:
     """Lines of the summary table of one workload's pairs."""
     lines = []
@@ -62,7 +88,8 @@ def report(workload: str, metrics: list[dict], pairs: list[dict]) -> list[str]:
         won = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
         change = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         lines.append(f"| {workload} | {name} | {pm:.4g} [{p1:.4g}, {p3:.4g}] | "
-                     f"{cm:.4g} [{c1:.4g}, {c3:.4g}] ({change}) | {won}/{len(pairs)} |")
+                     f"{cm:.4g} [{c1:.4g}, {c3:.4g}] ({change}) | {won}/{len(pairs)} | "
+                     f"{verdict(m, sides['parent'], sides['change'])} |")
     return lines
 
 
@@ -83,7 +110,8 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     kept: list[dict] = []
-    table = ["| workload | metric | parent | change | change better |", "| --- | --- | --- | --- | --- |"]
+    table = ["| workload | metric | parent | change | change better | verdict |",
+             "| --- | --- | --- | --- | --- | --- |"]
     faults = []
     k = 0
     for workload in workloads:

@@ -65,7 +65,7 @@ MUTANTS = (
     Mutant("tie children built at depth w", "src/edgereg/betti.py",
            "if tie and d >= -best[1]:", "if tie and d > -best[1]:", _WALK),
     Mutant("walk reads the reduced degree as the homological index", "src/edgereg/betti.py",
-           "best = max(best, (sum(b) - h - 1, -h - 1))", "best = max(best, (sum(b) - h, -h))",
+           "best = max(best, (item % mod - h - 1, -h - 1))", "best = max(best, (item % mod - h, -h))",
            _WALK),
     # the lcm lattice and the table loop of betti.betti_table
     Mutant("lattice builder drops the generator itself", "src/edgereg/ring.py",
@@ -82,6 +82,12 @@ MUTANTS = (
            ("tests/test_ring.py", *_WALK)),
     Mutant("slot window one generator off", "src/edgereg/ring.py",
            "slots & (1 << 8 * size * k) - 1", "slots & (1 << 8 * size * (k - 1)) - 1",
+           ("tests/test_ring.py", *_WALK)),
+    # the slot covers that slice each emission of the regularity walk
+    Mutant("slice covers keep the generators that do not divide b", "src/edgereg/ring.py",
+           " if divides[i:i + size] == full]", "]", ("tests/test_ring.py", *_WALK)),
+    Mutant("slice covers read g_j < b_j as g_j <= b_j", "src/edgereg/ring.py",
+           "below = (guards & ~((slots | guards) - h))", "below = (((h | guards) - slots) & guards)",
            ("tests/test_ring.py", *_WALK)),
     # the packed exponent vectors of ring._Packing
     Mutant("degree modulus 2**width", "src/edgereg/ring.py",

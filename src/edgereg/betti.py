@@ -20,11 +20,12 @@ whose bound equals it, it slices only the ones that could still lower the
 witness's homological index.  Degrees are read off the packed exponent
 vectors (``ring._Packing``).
 
-The slice at b is the complex of squarefree vectors tau inside supp(b)
-with x^b / x^tau still in I.  It is covered by the full simplices
-``A_g = {j : deg_j(g) < deg_j(b)}`` over the generators g dividing b, so
-its homology is computed through the covered-complex pipeline in
-:mod:`edgereg.homology` without materializing faces of large slices.
+The slice at b, the squarefree tau in supp(b) with x^b / x^tau in I, is the
+union of the simplices ``A_g = {j : g_j < b_j}`` over the divisors g of b.
+A table covers each lattice point by their nerve, from mask rows built once
+(per j, the g with g_j < b_j); the walk covers its few slices by the A_g
+themselves, off the root's packed slots (``_Packing.covers``).  By the nerve
+lemma both have one homology, computed by :mod:`edgereg.homology`.
 """
 
 from __future__ import annotations
@@ -184,9 +185,9 @@ def _slice_covers(masks: _Masks, b: tuple[int, ...]) -> list[int]:
     The vertices are the generators dividing b, ``AND_j le[j][b_j]``; for
     each variable j in supp(b) the divisors that do not attain deg_j(b),
     ``divisors & lt[j][b_j]``, span a full simplex, and these simplices
-    cover the (nerve-dual) slice complex.  Lattice points and tree
-    candidates are lcms of generators, so every b_j they carry is a key of
-    row j; any other b raises KeyError.
+    cover the (nerve-dual) slice complex.  Lattice points are lcms of
+    generators, so every b_j they carry is a key of row j; any other b
+    raises KeyError.
     """
     le, lt = masks
     divisors = -1
@@ -195,10 +196,11 @@ def _slice_covers(masks: _Masks, b: tuple[int, ...]) -> list[int]:
     return [divisors & row[e] for row, e in zip(lt, b) if e]
 
 
-def _slice_homology(masks: _Masks, b: tuple[int, ...], field: str) -> dict[int, int]:
-    """{d: rank of the reduced H_d of the slice at b}, nonzero ranks only,
-    in ascending d; beta_{d+1,b} is the rank at d."""
-    return covered_homology(_slice_covers(masks, b), field)
+def _walk_slice(pk: _Packing, slots: int, k: int, b: int, field: str) -> dict[int, int]:
+    """{d: rank of the reduced H_d of the slice at packed b}, nonzero ranks only,
+    in ascending d, from the A_g of the k generators in ``slots``; beta_{d+1,b}
+    is the rank at d."""
+    return covered_homology(pk.covers(slots, b, k), field)
 
 
 def betti_table(
@@ -219,7 +221,7 @@ def betti_table(
     masks = _divisor_masks(gens)
     multigraded: dict[tuple[int, Monomial], int] = {}
     for b in map(pk.unpack_record, sorted(lattice)):
-        hom = _slice_homology(masks, b, field)
+        hom = covered_homology(_slice_covers(masks, b), field)
         if hom:
             # b is a join of validated generator exponents, so it needs no re-check
             bm = Monomial._new(variables, b)
@@ -275,14 +277,14 @@ def _walk(ideal: MonomialIdeal, field: str, lattice_cap: int, ties: bool) -> tup
     _check_field(field)
     _check_cap(lattice_cap)
     gens = ideal._exps
-    masks = _divisor_masks(gens)
     pk = _Packing(len(gens[0]), gens)
-    guards, shift, mod, unpack = pk.guards, pk.shift, pk.mod, pk.unpack
+    guards, shift, mod = pk.guards, pk.shift, pk.mod
+    root = tuple(sorted(map(pk.pack, gens)))  # ascending lex order
     # buckets[bound]: packed emissions m, and (child depth, parent, k) of unbuilt children
     buckets: defaultdict[int, list] = defaultdict(list)
     seen: dict[tuple[int, ...], int] = {}  # node: least depth built
     sliced: set[int] = set()
-    slots: dict[tuple[int, ...], int] = {}  # node: _Packing.slots, once a child is popped
+    slots = {root: pk.slots(root)}  # node: _Packing.slots once a child is popped; root: for slices
     best = (-1, 0)  # (j - i, -i) of the best pair so far
     lift = 0 if ties else 1  # an item bounded below best[0] + lift cannot change the answer
 
@@ -308,7 +310,7 @@ def _walk(ideal: MonomialIdeal, field: str, lattice_cap: int, ties: bool) -> tup
                 if bound >= floor:
                     buckets[bound].append((d + 1, node, k))
 
-    build(0, tuple(sorted(map(pk.pack, gens))))  # ascending lex order
+    build(0, root)
     while buckets:
         bound = max(buckets)  # pushes never go above the bucket being drained
         if bound < best[0] + lift:  # see the stop rule above
@@ -320,9 +322,8 @@ def _walk(ideal: MonomialIdeal, field: str, lattice_cap: int, ties: bool) -> tup
             if type(item) is int:
                 if item not in sliced and not (tie and item % mod >= best[0] - best[1]):
                     sliced.add(item)
-                    b = unpack(item)
-                    for h in _slice_homology(masks, b, field):  # beta_{h+1,b} != 0
-                        best = max(best, (sum(b) - h - 1, -h - 1))
+                    for h in _walk_slice(pk, slots[root], len(root), item, field):
+                        best = max(best, (item % mod - h - 1, -h - 1))  # beta_{h+1,item} != 0
                 continue
             d, node, k = item
             if tie and d >= -best[1]:

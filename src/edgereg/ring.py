@@ -121,7 +121,7 @@ class _Packing:
             self.guards = sum(1 << (k * width + self.shift) for k in range(n))
             self._struct = struct.Struct(f">{n}{code}")
             self.unpack_record = self._struct.unpack  # of lcm_records
-            self._slot = -(-self._struct.size // 8) * 8  # bytes of a slot of joins: whole words
+            self._slot = -(-self._struct.size // 8) * 8 or 8  # slot bytes: one or more words
         return self
 
     def pack(self, b: tuple[int, ...]) -> int:
@@ -156,6 +156,18 @@ class _Packing:
         if _BIG_ENDIAN:
             joins.byteswap()
         return joins
+
+    def covers(self, slots: int, b: int, k: int) -> list[int]:
+        """The guard bits where g < b of each divisor g of b among the k
+        vectors of ``slots(vectors)``, in their order, from one SWAR step."""
+        size, full = self._slot, self.guards.to_bytes(self._slot, "little")
+        ones = _Packing._ones.get((size, k)) or _Packing._ones.setdefault(
+            (size, k), int.from_bytes((b"\1" + bytes(size - 1)) * k, "little"))
+        guards, h = self.guards * ones, b * ones
+        divides = (((h | guards) - slots) & guards).to_bytes(size * k, "little")  # where g <= b
+        below = (guards & ~((slots | guards) - h)).to_bytes(size * k, "little")  # where g < b
+        return [int.from_bytes(below[i:i + size], "little")
+                for i in range(0, size * k, size) if divides[i:i + size] == full]
 
     def lcm_records(self, packed: Iterable[int]) -> Iterator[set[bytes]]:
         """The joins of nonempty subsets of the packed vectors, as big-endian

@@ -18,7 +18,6 @@ from edgereg.betti import (
     DEFAULT_LATTICE_CAP,
     _divisor_masks,
     _slice_covers,
-    _slice_homology,
     betti_table,
     lcm_lattice,
     regularity,
@@ -230,13 +229,13 @@ def test_the_table_slices_each_lattice_point_once_through_the_shared_slice(monke
 
     ideal = I("(x1^3*x2, x2^2*x3^2, x1*x3^3, x1^2*x2^2*x3)")
     slices = []
-    original = betti_module._slice_homology
+    original = betti_module._slice_covers
 
-    def recording(masks, b, field):
+    def recording(masks, b):
         slices.append(b)
-        return original(masks, b, field)
+        return original(masks, b)
 
-    monkeypatch.setattr(betti_module, "_slice_homology", recording)
+    monkeypatch.setattr(betti_module, "_slice_covers", recording)
     betti_table(ideal)
     assert sorted(slices) == slices  # ascending lex order, the order of the packed ints
     assert set(slices) == set(lcm_lattice(ideal).multidegrees)
@@ -249,13 +248,13 @@ def test_regularity_search_slices_only_tree_candidates(monkeypatch):
     ideal = power(edge_ideal(make_cycle([2, 3, 2, 2])), 2)
     table = betti_table(ideal)
     slices = []
-    original = betti_module._slice_homology
+    original = betti_module._walk_slice
 
-    def recording(le, b, field):
-        slices.append(b)
-        return original(le, b, field)
+    def recording(pk, slots, k, b, field):
+        slices.append(pk.unpack(b))
+        return original(pk, slots, k, b, field)
 
-    monkeypatch.setattr(betti_module, "_slice_homology", recording)
+    monkeypatch.setattr(betti_module, "_walk_slice", recording)
     assert regularity(ideal) == table.regularity()
     candidates = mv_candidates_reference(
         tuple(g.dense() for g in ideal.generators), DEFAULT_LATTICE_CAP
@@ -271,7 +270,7 @@ def _candidate_table(ideal: MonomialIdeal, field: str = "Q") -> dict:
     le = _divisor_masks(list(gens))
     table = {}
     for b in mv_candidates_reference(gens, DEFAULT_LATTICE_CAP):
-        for d, r in _slice_homology(le, b, field).items():
+        for d, r in covered_homology(_slice_covers(le, b), field).items():
             table[(d + 1, Monomial.from_dense(ideal.variables, b))] = r
     return table
 
@@ -374,13 +373,13 @@ def test_regularity_search_slices_the_candidates_whose_bound_reaches_it(ideal, f
     import edgereg.betti as betti_module
 
     slices = []
-    original = betti_module._slice_homology
+    original = betti_module._walk_slice
 
-    def recording(le, b, *rest):
-        slices.append(b)
-        return original(le, b, *rest)
+    def recording(pk, slots, k, b, *rest):
+        slices.append(pk.unpack(b))
+        return original(pk, slots, k, b, *rest)
 
-    with mock.patch.object(betti_module, "_slice_homology", recording):
+    with mock.patch.object(betti_module, "_walk_slice", recording):
         reg, witness = regularity_witness(ideal, field)
     candidates = mv_candidates_reference(tuple(g.dense() for g in ideal.generators), 10**6)
     assert len(slices) == len(set(slices))
@@ -421,13 +420,13 @@ def _ladder_slices(monkeypatch, walk) -> int:
     import edgereg.betti as betti_module
 
     slices = []
-    original = betti_module._slice_homology
+    original = betti_module._walk_slice
 
-    def recording(le, b, field):
-        slices.append(b)
-        return original(le, b, field)
+    def recording(pk, slots, k, b, field):
+        slices.append(pk.unpack(b))
+        return original(pk, slots, k, b, field)
 
-    monkeypatch.setattr(betti_module, "_slice_homology", recording)
+    monkeypatch.setattr(betti_module, "_walk_slice", recording)
     ladder = _cycle_ladder(0)
     assert len(ladder) == 10
     for ideal in ladder:
@@ -484,13 +483,13 @@ def test_the_value_only_walk_agrees_with_the_witness_walk_and_the_table(ideal, f
     import edgereg.betti as betti_module
 
     slices = []
-    original = betti_module._slice_homology
+    original = betti_module._walk_slice
 
-    def recording(le, b, *rest):
-        slices.append(b)
-        return original(le, b, *rest)
+    def recording(pk, slots, k, b, *rest):
+        slices.append(pk.unpack(b))
+        return original(pk, slots, k, b, *rest)
 
-    with mock.patch.object(betti_module, "_slice_homology", recording):
+    with mock.patch.object(betti_module, "_walk_slice", recording):
         reg = regularity(ideal, field)
     assert reg == regularity_witness(ideal, field)[0] == betti_table(ideal, field).regularity()
     candidates = mv_candidates_reference(tuple(g.dense() for g in ideal.generators), 10**6)
@@ -498,6 +497,68 @@ def test_the_value_only_walk_agrees_with_the_witness_walk_and_the_table(ideal, f
     above = {b for b, d in candidates.items() if sum(b) - d > reg}
     ties = {b for b, d in candidates.items() if sum(b) - d == reg}
     assert above <= set(slices) <= above | ties
+
+
+def _walk_corpus() -> list[MonomialIdeal]:
+    """Seeded ideals from three sources: dense draws, sub-ideals of weighted
+    cycle powers, and ideals whose packing has slots wider than a word
+    (more than 8 variables) or 16-bit fields (an exponent of at least 128)."""
+    rng = random.Random("walk-corpus")
+    corpus = []
+
+    def draw(n: int, ngens: int, exponents: list[int], degree: int | None = None) -> MonomialIdeal:
+        """ngens distinct generators; of one degree, if given, so all are minimal."""
+        variables = variable_set(n)
+        gens: set[tuple[int, ...]] = set()
+        while len(gens) < ngens:
+            exps = tuple(rng.choice(exponents) for _ in range(n))
+            if any(exps) and degree in (None, sum(exps)):
+                gens.add(exps)
+        return MonomialIdeal(variables, [Monomial.from_dense(variables, g) for g in sorted(gens)])
+
+    for _ in range(150):
+        corpus.append(draw(rng.randint(5, 7), rng.randint(9, 12), [0, 0, 1, 2], rng.randint(3, 4)))
+    for _ in range(150):
+        cycle = power(edge_ideal(make_cycle([rng.randint(1, 3) for _ in range(rng.randint(4, 6))])),
+                      rng.randint(2, 3))
+        gens = rng.sample(cycle.generators, min(len(cycle.generators), rng.randint(4, 9)))
+        corpus.append(MonomialIdeal(cycle.variables, gens))
+    for _ in range(100):
+        corpus.append(draw(rng.randint(9, 12), rng.randint(4, 7), [0] * 6 + [1, 2]))
+        corpus.append(draw(rng.randint(3, 6), rng.randint(3, 6), [0, 0, 1, rng.randint(128, 300)]))
+    return corpus
+
+
+def test_the_walks_agree_with_the_table_on_a_seeded_corpus():
+    corpus = _walk_corpus()
+    assert any(len(ideal.variables) > 8 for ideal in corpus)
+    assert any(max(map(max, gens_of(ideal))) >= 128 for ideal in corpus)
+    for ideal in corpus:
+        for field in ("Q", "GF2"):
+            table = betti_table(ideal, field)
+            reg = table.regularity()
+            witness = table_regularity_witness(table)
+            assert regularity(ideal, field) == reg, (ideal, field)
+            assert regularity_witness(ideal, field) == (reg, witness), (ideal, field)
+
+
+def test_the_regularity_walks_build_no_divisor_masks(monkeypatch):
+    # the walk covers its slices from the generators' packed slots
+    import edgereg.betti as betti_module
+
+    ideals = [power(edge_ideal(make_cycle([2, 3, 2, 2])), 2),
+              I("(x1^128*x2, x2^3*x10, x3*x11^2, x1*x11^300, x4*x5*x10)", n=11),
+              parse_ideal("(1)", VariableSet([]))]  # no variables: zero-byte packed vectors
+    expected = [(table.regularity(), table_regularity_witness(table))
+                for table in map(betti_table, ideals[:2])] + [(0, (0, 0))]
+
+    def refused(gens):
+        raise AssertionError("a regularity walk built divisor masks")
+
+    monkeypatch.setattr(betti_module, "_divisor_masks", refused)
+    for ideal, (reg, witness) in zip(ideals, expected, strict=True):
+        assert regularity(ideal) == reg
+        assert regularity_witness(ideal) == (reg, witness)
 
 
 def test_the_regularity_walk_allocates_with_the_work_not_the_degree():

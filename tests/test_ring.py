@@ -234,3 +234,17 @@ def test_slot_joins_are_the_tuple_wise_max(case):
     packed = list(map(pk.pack, vectors))
     joins = pk.joins(pk.slots(packed), packed[k], k)
     assert [pk.unpack(b) for b in joins] == [join(v, vectors[k]) for v in vectors[:k]]
+
+
+@given(pivots())
+@example(([(1,) * 9, (2,) + (0,) * 8, (0,) * 8 + (3,)], 2))  # 9 one-byte fields in two words
+@example(([(128, 0), (0, 300), (127, 1)], 1))  # two-byte fields in one word
+@example(([(), ()], 1))  # no variables: zero-byte vectors in one-word slots
+def test_slot_covers_are_the_fields_where_a_divisor_is_below(case):
+    vectors, k = case
+    pk = ring._Packing(len(vectors[0]), vectors)
+    b = tuple(map(max, *vectors[:k + 1]))  # a join of some of them
+    width, n = pk.shift + 1, len(b)
+    expected = [sum(1 << ((n - 1 - j) * width + pk.shift) for j in range(n) if g[j] < b[j])
+                for g in vectors if divides(g, b)]
+    assert pk.covers(pk.slots(list(map(pk.pack, vectors))), pk.pack(b), len(vectors)) == expected
