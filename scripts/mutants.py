@@ -111,6 +111,11 @@ MUTANTS = (
            "return {len(rows) - 2: 1}", "return {len(rows) - 1: 1}", ("tests/test_homology.py",)),
     Mutant("sphere test skips the meeting of all covers but the last", "src/edgereg/homology.py",
            "map(and_, pre, suf[1:])", "map(and_, pre[:-2], suf[1:])", ("tests/test_homology.py",)),
+    Mutant("sphere test left to two covers or more", "src/edgereg/homology.py",
+           "if all(map(and_, pre, suf[1:])):", "if len(rows) > 1 and all(map(and_, pre, suf[1:])):",
+           ("tests/test_homology.py::TestSimplexBoundaryNerve",)),
+    Mutant("memo keeps zero ranks", "src/edgereg/homology.py", "if h:", "if h >= 0:",
+           ("tests/test_betti.py::test_every_rank_is_positive_and_each_generator_has_rank_one",)),
     # the reduce-against-pivots loops of the two rank kernels
     Mutant("integer row not scaled by p/g before the update", "src/edgereg/linalg.py",
            "row = {c: s * v for c, v in row.items()}", "row = {c: v for c, v in row.items()}",

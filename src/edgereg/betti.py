@@ -94,7 +94,10 @@ def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
 
 
 class BettiTable:
-    """Graded and multigraded Betti numbers over a fixed coefficient field."""
+    """Graded and multigraded Betti numbers over a fixed coefficient field.
+
+    Every rank held is at least 1, and beta_0 holds each minimal generator.
+    """
 
     __slots__ = ("field", "entries", "multigraded")
 
@@ -111,15 +114,13 @@ class BettiTable:
         return self.entries.get((i, j), 0)
 
     def nonzero(self) -> list[tuple[int, int, int]]:
-        return [(i, j, r) for (i, j), r in sorted(self.entries.items()) if r]
+        return [(i, j, r) for (i, j), r in sorted(self.entries.items())]
 
     def regularity(self) -> int:
-        return max(j - i for (i, j), r in self.entries.items() if r)
+        return max(j - i for i, j in self.entries)
 
     def graded_equal(self, other: "BettiTable") -> bool:
-        mine = {k: r for k, r in self.entries.items() if r}
-        theirs = {k: r for k, r in other.entries.items() if r}
-        return mine == theirs
+        return self.entries == other.entries
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,8 +133,6 @@ class BettiTable:
     def text_grid(self) -> str:
         """Aligned grid, rows by degree j, columns by homological index i."""
         nz = self.nonzero()
-        if not nz:
-            return "(empty table)"
         imax = max(i for i, _, _ in nz)
         jmin = min(j for _, j, _ in nz)
         jmax = max(j for _, j, _ in nz)

@@ -38,14 +38,13 @@ def _ideal_from_args(args) -> MonomialIdeal:
             raise ValueError("--vars applies to --ideal only")
         ideal = edge_ideal(_load_graph_arg(args.graph))
     else:
-        if args.vars:
-            names = [v.strip() for v in args.vars.split(",") if v.strip()]
-        else:
+        if args.vars is None:
             # infer the variable set from the text, in order of appearance
-            names = []
-            for token in re.findall(r"[A-Za-z][A-Za-z0-9_]*", args.ideal):
-                if token not in names:
-                    names.append(token)
+            names = dict.fromkeys(re.findall(r"[A-Za-z][A-Za-z0-9_]*", args.ideal))
+        else:
+            names = [v.strip() for v in args.vars.split(",")]
+            if not all(names):
+                raise ValueError(f"--vars takes names as A,B,..., got {args.vars!r}")
         ideal = parse_ideal(args.ideal, VariableSet(names))
     return power(ideal, args.power)
 
@@ -55,7 +54,7 @@ def _parse_range(flag: str, text: str, limit: int) -> tuple[int, ...]:
     text = text.strip()
     try:
         if ".." not in text:
-            return tuple(int(p) for p in text.split(",") if p.strip())
+            return tuple(map(int, text.split(",")))
         lo, hi = map(int, text.partition("..")[::2])
     except ValueError:
         raise ValueError(f"--{flag} takes integers as A..B, A,B,... or A, got {text!r}") from None
@@ -67,7 +66,7 @@ def _parse_range(flag: str, text: str, limit: int) -> tuple[int, ...]:
 
 def _parse_alphabet(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise ValueError(f"--weights takes integers as A,B,..., got {text!r}") from None
 
@@ -132,7 +131,7 @@ def _spec(args, family: str = "cycle", workers: int = 1):
     """The instances of verify campaign or structure; --n defaults by family."""
     from .verify import MAX_INSTANCES, CampaignSpec
 
-    n = args.n or ("4" if family == "unicyclic" else "3..4")
+    n = ("4" if family == "unicyclic" else "3..4") if args.n is None else args.n
     return CampaignSpec(
         family, _parse_range("n", n, MAX_INSTANCES), _parse_range("t", args.t, MAX_INSTANCES),
         _parse_alphabet(args.weights), seed=args.seed,

@@ -11,10 +11,6 @@ class VariableSetMismatchError(EdgeRegError, ValueError):
     """Operands live over different variable sets."""
 
 
-class DegreeCapError(EdgeRegError, ValueError):
-    """A monomial construction exceeded the configured degree cap."""
-
-
 class ZeroIdealError(EdgeRegError, ValueError):
     """Operation requires a nonzero ideal."""
 
@@ -43,5 +39,9 @@ class GeneratorMembershipError(EdgeRegError, ValueError):
 class ResourceCapError(EdgeRegError, RuntimeError):
     """A computation exceeded a configured resource cap.
 
-    The message names the cap and its value so the caller can raise it.
+    The message names the cap and its value, and how to raise it where it can be.
     """
+
+
+class DegreeCapError(ResourceCapError, ValueError):
+    """A monomial construction exceeded the configured degree cap."""

@@ -22,6 +22,7 @@ Only the covers that miss v are enumerated.
 A round also stops if every k - 1 of its k covers share a vertex: then the
 nerve is the boundary of the (k-1)-simplex, and by the nerve lemma
 (Bjoerner 1995) K is a (k-2)-sphere up to homotopy, over Q and GF(2) alike.
+One empty cover is the case k = 1: the empty-face-only complex, a (-1)-sphere.
 
 Conventions: the void complex (no faces at all) has no homology in any
 degree; the complex containing only the empty face has reduced homology
@@ -181,8 +182,6 @@ def covered_homology(covers: list[int], field: str) -> dict[int, int]:
     if reduce(and_, covers):
         return {}  # a common vertex cones the complex
     rows = maximal_masks(covers)
-    if rows == [0]:
-        return {-1: 1}
     while True:
         pre = list(accumulate(rows, and_, initial=-1))  # pre[i]: the AND of rows[:i]
         if pre[-1]:

@@ -13,7 +13,6 @@ import struct
 import sys
 from array import array
 from itertools import chain
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeCapError, ParseError, VariableSetMismatchError
@@ -119,9 +118,9 @@ class _Packing:
             self.shift = width - 1
             self.mod = (1 << width) - 1
             self.guards = sum(1 << (k * width + self.shift) for k in range(n))
-            self._struct = struct.Struct(f">{n}{code}")
+            self._struct = struct.Struct(f">{n}{code}" if n else ">x")  # no 0-byte records
             self.unpack_record = self._struct.unpack  # of lcm_records
-            self._slot = -(-self._struct.size // 8) * 8 or 8  # slot bytes: one or more words
+            self._slot = -(-self._struct.size // 8) * 8  # slot bytes: one or more words
         return self
 
     def pack(self, b: tuple[int, ...]) -> int:
@@ -278,15 +277,6 @@ class Monomial:
 
     def dense(self) -> tuple[int, ...]:
         return self._exps
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        _check_same_ring(self, other)
-        return Monomial._new(self._vars, tuple(map(add, self._exps, other._exps)))
-
-    def __pow__(self, k: int) -> "Monomial":
-        if k < 0:
-            raise ValueError("negative power")
-        return Monomial.from_dense(self._vars, [e * k for e in self._exps])
 
     def __eq__(self, other) -> bool:
         return (

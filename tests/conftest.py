@@ -26,7 +26,7 @@ def monomials(draw, n_vars: int | None = None, max_exp: int = 3):
 def nonunit_monomials(draw, n_vars: int | None = None, max_exp: int = 3):
     m = draw(monomials(n_vars=n_vars, max_exp=max_exp))
     if not m.degree:
-        m = m * parse_monomial(m.variables.names[0], m.variables)
+        m = parse_monomial(m.variables.names[0], m.variables)
     return m
 
 

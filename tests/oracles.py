@@ -123,6 +123,13 @@ def join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(max, a, b))
 
 
+def monomial_product(*factors: Monomial) -> Monomial:
+    """The product of monomials over one variable set: their exponent tuples added."""
+    variables = factors[0].variables
+    assert all(m.variables == variables for m in factors), "factors over different variable sets"
+    return Monomial.from_dense(variables, map(sum, zip(*(m.dense() for m in factors))))
+
+
 def support(vectors: Iterable[tuple[int, ...]]) -> frozenset[int]:
     """The variable indices with a nonzero exponent in some vector."""
     return frozenset(i for v in vectors for i, e in enumerate(v) if e)

@@ -48,6 +48,7 @@ from oracles import (
     k_polynomial_reference,
     koszul_slice_faces,
     max_homological_index,
+    monomial_product,
     mv_candidates_reference,
     multigraded_betti_reference,
     private_variable_regularity,
@@ -80,6 +81,11 @@ class TestLcmLattice:
 
     def test_principal(self):
         assert lcm_lattice(I("(x1^3)")).size == 1
+
+    def test_unit_ideal_without_variables(self):
+        # its one packed record would be zero bytes wide without a pad byte
+        lat = lcm_lattice(parse_ideal("(1)", VariableSet([])))
+        assert (lat.size, lat.multidegrees) == (1, ((),))
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroIdealError):
@@ -645,6 +651,14 @@ class TestBettiTable:
         assert table.entries == {(0, 0): 1}
         assert table.regularity() == 0
 
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
+    def test_unit_ideal_without_variables_agrees_with_the_walk(self, field):
+        unit = parse_ideal("(1)", VariableSet([]))
+        table = betti_table(unit, field)
+        assert table.nonzero() == [(0, 0, 1)]
+        assert (table.regularity(), table_regularity_witness(table)) == (0, (0, 0))
+        assert regularity_witness(unit, field) == (0, (0, 0))
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             betti_table(I("(x1)"), field="GF3")
@@ -681,6 +695,17 @@ def test_engine_matches_reference_over_gf2(ideal):
 def test_betti_zero_row_counts_minimal_generators(ideal):
     table = betti_table(ideal)
     assert generator_degrees(table) == Counter(g.degree for g in ideal.generators)
+
+
+@pytest.mark.parametrize("field", ["Q", "GF2"])
+@given(st.one_of(ideals(n_vars=4, max_gens=5), cycle_powers()))
+@settings(max_examples=50, deadline=None)
+def test_every_rank_is_positive_and_each_generator_has_rank_one(field, ideal):
+    # so a table holds no zero rank and, as beta_0 counts the generators, is never empty
+    table = betti_table(ideal, field)
+    assert min(table.entries.values()) >= 1 and min(table.multigraded.values()) >= 1
+    zeroth = {b: r for (i, b), r in table.multigraded.items() if i == 0}
+    assert zeroth == dict.fromkeys(ideal.generators, 1)
 
 
 @given(ideals(n_vars=4, max_gens=5))
@@ -765,7 +790,7 @@ class TestRegularityLemmas:
                 wide, [Monomial.from_dense(wide, g.dense() + (0, 0)) for g in a.generators]
             )
             u = Monomial.from_dense(wide, (0,) * n + (1 + k % 3, 1))
-            scaled = MonomialIdeal(wide, [u * g for g in lifted.generators])
+            scaled = MonomialIdeal(wide, [monomial_product(u, g) for g in lifted.generators])
             assert regularity(scaled) == regularity(a) + u.degree
 
     def test_induced_restriction_never_raises_regularity(self):

@@ -7,6 +7,7 @@ import pytest
 
 from edgereg.betti import DEFAULT_LATTICE_CAP, betti_table
 from edgereg.cli import _ideal_from_args, build_parser, main
+from edgereg.ring import DEGREE_CAP
 from edgereg.verify import (
     REFERENCE_EXAMPLES,
     CampaignSpec,
@@ -81,6 +82,13 @@ class TestBettiCommand:
         data = json.loads(out)
         assert code == 0
         assert {"i": 1, "j": 2, "rank": 1} in data["entries"]
+
+    def test_unit_ideal_without_variables(self, capsys):
+        code, out, _ = run_cli(capsys, "betti", "--ideal", "(1)")
+        assert code == 0
+        assert json.loads(out) == {"field": "Q", "entries": [{"i": 0, "j": 0, "rank": 1}]}
+        code, out, _ = run_cli(capsys, "betti", "--ideal", "(1)", "--format", "grid")
+        assert (code, out) == (0, " j\\i |  0\n---------\n   0 |  1\n")
 
     def test_requires_some_input(self, capsys):
         code, _, err = run_cli(capsys, "betti")
@@ -232,6 +240,16 @@ class TestVerifyCommand:
         assert data["kind"] == "structure"
         assert data["summary"]["failures"] == 0
 
+    def test_a_degree_cap_is_a_skip_in_a_campaign(self, capsys, tmp_path):
+        # an edge generator x1*x2^100000 has degree 100001, so its 20th power is over the cap
+        out_path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "verify", "campaign", "--n", "3", "--weights", "100000",
+                               "--t", "20", "--out", str(out_path))
+        assert (code, out) == (3, "")
+        (record,) = json.loads(out_path.read_text())["records"]
+        assert record["skipped"] == f"monomial degree 2000020 exceeds cap {DEGREE_CAP}"
+        assert record["engine_value"] is None
+
     def test_campaign_exit_code_for_skips(self, capsys, tmp_path, monkeypatch):
         import edgereg.verify as verify_mod
 
@@ -377,6 +395,11 @@ class TestBadInput:
             ("verify", "campaign", "--family", "forest", "--n", "20"),
             ("verify", "campaign", "--n", "3..1000000"),
             ("verify", "structure", "--n", "3", "--t", "1..1000000"),
+            ("verify", "campaign", "--n", ""),
+            ("verify", "structure", "--n", ""),
+            ("betti", "--ideal", "(x)", "--vars", ""),
+            ("reg", "--ideal", "(x)", "--vars", ""),
+            ("reg", "--ideal", "(x^99999999999)"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):
@@ -403,13 +426,26 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flag, value", [
         ("--n", "3..a"), ("--n", "x"), ("--t", "1.."), ("--t", "1..2..3"),
-        ("--weights", "2,x"), ("--weights", "2..3"),
+        ("--weights", "2,x"), ("--weights", "2..3"), ("--t", "3,"), ("--weights", "2,,3"),
     ])
     def test_unreadable_integers_name_their_flag(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "verify", "campaign", flag, value)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {flag} takes integers as ") and err.count("\n") == 1
         assert repr(value) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "campaign", "--n", ""),
+        ("verify", "structure", "--n", ""),
+        ("betti", "--ideal", "(x)", "--vars", ""),
+        ("reg", "--ideal", "(x)", "--vars", ""),
+        ("reg", "--ideal", "(x, y)", "--vars", "x,,y"),
+    ])
+    def test_an_empty_value_is_refused_by_its_flag(self, capsys, argv):
+        # an empty --n or --vars is not read as the flag left out
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {argv[-2]} takes ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [("--help",), ("reg", "--help"), ("verify", "--help")])
     def test_help_still_exits_zero(self, capsys, argv):

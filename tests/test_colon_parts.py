@@ -15,7 +15,7 @@ from edgereg.digraph import make_cycle
 from edgereg.ideals import MonomialIdeal
 from edgereg.ring import Monomial
 
-from oracles import colon_lead_and_descent
+from oracles import colon_lead_and_descent, monomial_product
 
 WEIGHTS = {
     3: [(2, 2, 2), (3, 2, 4), (4, 3, 2)],
@@ -52,9 +52,8 @@ def expected_parts(gens: list[Monomial], vector: tuple[int, ...], t: int):
     q_gens = []
     if q is not None:
         for j in range(q + 1):
-            top = bottom = Monomial.unit(variables)
-            for s in range(j + 1):
-                top, bottom = top * L(n - 2 * s), bottom * L(n + 1 - 2 * s)
+            top = monomial_product(*(L(n - 2 * s) for s in range(j + 1)))
+            bottom = monomial_product(*(L(n + 1 - 2 * s) for s in range(j + 1)))
             q_gens.append(colon(top, bottom))
     return MonomialIdeal(variables, k_gens), MonomialIdeal(variables, q_gens)
 

@@ -20,7 +20,7 @@ from edgereg.ideals import MonomialIdeal, colon_by_monomial, parse_ideal, power
 from edgereg.ring import DEGREE_CAP, VariableSet, parse_monomial
 from edgereg.verify import square_pendant_light_path
 
-from oracles import colon_lead_and_descent, decompose_cycle_generator, divides
+from oracles import colon_lead_and_descent, decompose_cycle_generator, divides, monomial_product
 
 
 def I(text: str, n: int = 3) -> MonomialIdeal:
@@ -108,14 +108,14 @@ class TestDecompose:
     def test_product_of_two_generators(self):
         g = make_cycle([2, 2, 2])
         gens = cycle_edge_generators(g)
-        m = gens[0] * gens[1]
+        m = monomial_product(gens[0], gens[1])
         assert decompose_cycle_generator(g, 2, m) == (1, 1, 0)
 
     def test_pure_power_of_lead_generator(self):
         g = make_cycle([2, 2, 2])
         lead = cycle_edge_generators(g)[0]
         for t in (1, 2, 3):
-            assert decompose_cycle_generator(g, t, lead**t) == (t, 0, 0)
+            assert decompose_cycle_generator(g, t, monomial_product(*[lead] * t)) == (t, 0, 0)
 
     def test_non_member_rejected(self):
         g = make_cycle([2, 2, 2])
@@ -146,26 +146,27 @@ class TestEdgeDivides:
     def test_generator_divides_its_square(self):
         g = make_cycle([2, 2, 2])
         lead = cycle_edge_generators(g)[0]
-        assert edge_divides(lead, 1, lead**2, 2, g)
+        assert edge_divides(lead, 1, monomial_product(lead, lead), 2, g)
 
     def test_second_generator_does_not_divide_lead_square(self):
         g = make_cycle([2, 2, 2])
         gens = cycle_edge_generators(g)
-        assert not edge_divides(gens[1], 1, gens[0] ** 2, 2, g)
+        assert not edge_divides(gens[1], 1, monomial_product(gens[0], gens[0]), 2, g)
 
     def test_lead_divides_mixed_product(self):
         g = make_cycle([2, 2, 2])
         gens = cycle_edge_generators(g)
-        assert edge_divides(gens[0], 1, gens[0] * gens[1], 2, g)
+        assert edge_divides(gens[0], 1, monomial_product(gens[0], gens[1]), 2, g)
 
     def test_membership_enforced(self):
         g = make_cycle([2, 2, 2])
         stray = parse_monomial("x1*x2*x3", g.variable_set())
         lead = cycle_edge_generators(g)[0]
+        square = monomial_product(lead, lead)
         with pytest.raises(GeneratorMembershipError):
-            edge_divides(stray, 1, lead**2, 2, g)
+            edge_divides(stray, 1, square, 2, g)
         with pytest.raises(ValueError):
-            edge_divides(lead, 2, lead**2, 2, g)
+            edge_divides(lead, 2, square, 2, g)
 
     def test_agrees_with_product_definition(self):
         for n, t in ((3, 2), (4, 2), (4, 3)):
@@ -176,7 +177,8 @@ class TestEdgeDivides:
             for e1 in singles:
                 for e2 in upper:
                     fast = edge_divides(e1.monomial, 1, e2.monomial, t, g)
-                    brute = any(e1.monomial * m.monomial == e2.monomial for m in lower)
+                    brute = any(monomial_product(e1.monomial, m.monomial) == e2.monomial
+                                for m in lower)
                     assert fast == brute
 
 
@@ -273,11 +275,8 @@ class TestColonFormDichotomy:
                 continue
             if not all(i_entry.vector[nrm(n + 1 - 2 * s)] > 0 for s in range(q + 1)):
                 continue
-            top = bottom = None
-            for s in range(q + 1):
-                a, b = gens[nrm(n - 2 * s)], gens[nrm(n + 1 - 2 * s)]
-                top = a if top is None else top * a
-                bottom = b if bottom is None else bottom * b
+            top = monomial_product(*(gens[nrm(n - 2 * s)] for s in range(q + 1)))
+            bottom = monomial_product(*(gens[nrm(n + 1 - 2 * s)] for s in range(q + 1)))
             out.append(strip(top, bottom))
         return out
 

@@ -125,6 +125,12 @@ class TestSimplexBoundaryNerve:
         assert memo_calls == []
 
     @pytest.mark.parametrize("field", ["Q", "GF2"])
+    def test_one_empty_cover_is_the_boundary_of_the_0_simplex(self, memo_calls, field):
+        # the empty-face-only complex: the sphere test answers it as a (-1)-sphere
+        assert covered_homology([0], field) == covered_homology([0, 0], field) == {-1: 1}
+        assert memo_calls == []
+
+    @pytest.mark.parametrize("field", ["Q", "GF2"])
     def test_the_octahedron_boundary_goes_through_the_memo(self, memo_calls, field):
         # a 2-sphere whose eight triangles have no seven sharing a vertex
         covers = [1 << a | 1 << b | 1 << c for a in (0, 1) for b in (2, 3) for c in (4, 5)]
