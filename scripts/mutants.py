@@ -67,13 +67,15 @@ MUTANTS = (
     Mutant("walk reads the reduced degree as the homological index", "src/edgereg/betti.py",
            "best = max(best, (item % mod - h - 1, -h - 1))", "best = max(best, (item % mod - h, -h))",
            _WALK),
-    # the lcm lattice and the table loop of betti.betti_table
-    Mutant("lattice builder drops the generator itself", "src/edgereg/ring.py",
-           "            new.add(g.to_bytes(size, \"big\"))\n", "", _WALK),
-    Mutant("record join without replicated guards", "src/edgereg/ring.py",
-           "h, gk = g * ones, self.guards * ones", "h, gk = g * ones, self.guards", _WALK),
-    Mutant("table slices the lattice points unsorted", "src/edgereg/betti.py",
-           "pk.unpack_record, sorted(lattice)", "pk.unpack_record, lattice", _WALK),
+    # the lcm-lattice walk and the table loop of betti.betti_table
+    Mutant("lattice walk skips the witness refresh", "src/edgereg/betti.py",
+           "gone = seen[j] ^ kept", "gone = 0", _WALK),
+    Mutant("lattice walk leaves a new exponent's attainment unchecked", "src/edgereg/betti.py",
+           "if not d or e and not d & at:", "if not d:", _WALK),
+    Mutant("lattice walk visits the exponents in descending order", "src/edgereg/betti.py",
+           "sorted(le_row.items())", "sorted(le_row.items(), reverse=True)", _WALK),
+    Mutant("table reads its leaf covers from le, not lt", "src/edgereg/betti.py",
+           "lt, variables = masks[1]", "lt, variables = masks[0]", _WALK),
     Mutant("table records ranks at the reduced degree", "src/edgereg/betti.py",
            "multigraded[(d + 1, bm)] = r", "multigraded[(d, bm)] = r", _WALK),
     # the slot joins that build each child of the regularity walk

@@ -4,10 +4,11 @@ For a monomial ideal I and a multidegree b, the rank of the (i-1)-st
 reduced homology of the squarefree slice complex at b is the multigraded
 Betti number beta_{i,b}(I).  The table computes one slice per point of the
 lcm lattice of the minimal generators; multidegrees outside it contribute
-nothing.  The lattice is a set of packed records, built by joining the
-generators in ascending packed (lex) order (``ring._Packing.lcm_records``),
-and the table walks its points in bytes order, which is lex order,
-unpacking each point once.  The graded table aggregates by
+nothing.  The lattice is walked depth first over the variables, each
+exponent in ascending order, so its points come in lex order, each with
+the mask of the generators dividing it (``_lattice``); a witness per
+exponent keeps every prefix on the way to a point.  The table slices each
+point as the walk hands it over.  The graded table aggregates by
 total degree and the regularity is max{j - i : beta_{i,j} != 0}.
 
 The regularity needs no table.  Only the multidegrees that the
@@ -23,7 +24,8 @@ vectors (``ring._Packing``).
 The slice at b, the squarefree tau in supp(b) with x^b / x^tau in I, is the
 union of the simplices ``A_g = {j : g_j < b_j}`` over the divisors g of b.
 A table covers each lattice point by their nerve, from mask rows built once
-(per j, the g with g_j < b_j); the walk covers its few slices by the A_g
+(per j and e, the g with g_j < e) and the divisor mask the lattice walk
+hands over; the regularity walk covers its few slices by the A_g
 themselves, off the root's packed slots (``_Packing.covers``).  By the nerve
 lemma both have one homology, computed by :mod:`edgereg.homology`.
 """
@@ -31,7 +33,7 @@ lemma both have one homology, computed by :mod:`edgereg.homology`.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import ResourceCapError, ZeroIdealError
 from .homology import FIELD_Q, _check_field, covered_homology
@@ -63,30 +65,102 @@ class LcmLattice:
         return len(self.multidegrees)
 
 
-def _lattice(gens: Sequence[tuple[int, ...]], cap: int) -> tuple[_Packing, set[bytes]]:
-    """The packing of gens and the lcms of their nonempty subsets, as the
-    packing's struct records (``_Packing.lcm_records``).
+_Masks = tuple[list[dict[int, int]], list[dict[int, int]]]
 
-    The generators are joined in ascending packed (lex) order.  On the
-    benchmark's tables that makes about a sixth fewer joins than the
-    ideal's own descending graded order; the set, and whether it fits the
-    cap, do not depend on the order.
+
+def _divisor_masks(gens: Sequence[tuple[int, ...]]) -> _Masks:
+    """``le[j][e]`` and ``lt[j][e]``: bitmasks of the generators g with
+    ``g_j <= e`` and with ``g_j < e``.
+
+    Bit k stands for ``gens[k]``.  Row j has one key per distinct exponent
+    of variable j among the generators, so no row outgrows the generators.
     """
-    pk = _Packing(len(gens[0]), gens)
-    for lattice in pk.lcm_records(sorted(map(pk.pack, gens))):
-        if len(lattice) > cap:
-            raise ResourceCapError(
-                f"lcm lattice exceeds the size cap {cap}; "
-                f"raise it with --lattice-cap (lattice_cap=) to proceed"
-            )
-    return pk, lattice
+    le, lt = [], []
+    for j in range(len(gens[0])):
+        at: defaultdict[int, int] = defaultdict(int)
+        for k, g in enumerate(gens):
+            at[g[j]] |= 1 << k
+        le_row, lt_row = {}, {}
+        below = 0
+        for e in sorted(at):
+            lt_row[e] = below
+            below |= at[e]
+            le_row[e] = below
+        le.append(le_row)
+        lt.append(lt_row)
+    return le, lt
+
+
+def _lattice(masks: _Masks, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(b, D) for each point b of the lcm lattice in lex order, D the mask of
+    the generators that divide b, from ``masks = _divisor_masks(gens)``.
+
+    b is a point exactly when D is nonempty and each b_j > 0 is attained,
+    g_j = b_j, by some g in D.  Depth first over the variables, on a stack,
+    the walk tries at variable j the keys e of row j in ascending order up to
+    the first that keeps all of D, which is attained: ``D &= le[j][e]``, and
+    e > 0 needs a witness g in ``D & ~lt[j][e]``.  A witness that D loses is
+    replaced, or the branch is dropped, so every prefix kept extends to the
+    point lcm(D): about n * |L| prefixes.  The cap fires at point cap + 1.
+    """
+    le, lt = masks
+    n = len(le)
+    if not n:  # the unit ideal over no variables
+        yield (), -1
+        return
+    # per variable, (e, generators with g_j <= e, generators with g_j == e > 0), ascending in e
+    rows = [[(e, m, e and m & ~lt_row[e]) for e, m in sorted(le_row.items())]
+            for le_row, lt_row in zip(le, lt)]
+    b, need = [0] * n, [0] * n  # the prefix, and per b_j > 0 the generators attaining it
+    # per level: keys left, D above (-1: all), OR of the witnesses above, and their list
+    its, divs, seen, wits = [iter(rows[0])] * n, [-1] * n, [0] * n, [[0] * n] * n
+    points, j, last = 0, 0, n - 1
+    while j >= 0:
+        above, wit = divs[j], wits[j]
+        for e, m, at in its[j]:
+            d = above & m
+            if d == above:  # so some g of D has g_j = e, and no later e is attained
+                its[j], kept = iter(()), seen[j]
+                break
+            if not d or e and not d & at:
+                continue
+            kept = seen[j] & d
+            gone = seen[j] ^ kept  # the witnesses that D lost
+            if not gone:
+                break
+            wit = wit[:]  # the level above keeps its own
+            for i in range(j):
+                if wit[i] & gone:
+                    r = d & need[i]
+                    if not r:
+                        break  # no generator of D attains b_i
+                    wit[i] = r & -r
+                    kept |= wit[i]
+            else:
+                break
+            wit = wits[j]
+        else:
+            j -= 1
+            continue
+        b[j] = e
+        if j == last:
+            points += 1
+            if points > cap:
+                raise ResourceCapError(f"lcm lattice exceeds the size cap {cap}; "
+                                       f"raise it with --lattice-cap (lattice_cap=) to proceed")
+            yield tuple(b), d
+            continue
+        w = d & at
+        w &= -w
+        wit[j], need[j] = w, at
+        j += 1
+        its[j], divs[j], seen[j], wits[j] = iter(rows[j]), d, kept | w, wit
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm lattice")
-    pk, lattice = _lattice(ideal._exps, DEFAULT_LATTICE_CAP)
-    points = map(pk.unpack_record, lattice)
+    points = (b for b, _ in _lattice(_divisor_masks(ideal._exps), DEFAULT_LATTICE_CAP))
     return LcmLattice(tuple(sorted(points, key=lambda b: (sum(b), b))))
 
 
@@ -152,49 +226,6 @@ class BettiTable:
         return f"BettiTable(field={self.field}, nonzero={len(self.nonzero())})"
 
 
-_Masks = tuple[list[dict[int, int]], list[dict[int, int]]]
-
-
-def _divisor_masks(gens: Sequence[tuple[int, ...]]) -> _Masks:
-    """``le[j][e]`` and ``lt[j][e]``: bitmasks of the generators g with
-    ``g_j <= e`` and with ``g_j < e``.
-
-    Bit k stands for ``gens[k]``.  Row j has one key per distinct exponent
-    of variable j among the generators, so no row outgrows the generators.
-    """
-    le, lt = [], []
-    for j in range(len(gens[0])):
-        at: defaultdict[int, int] = defaultdict(int)
-        for k, g in enumerate(gens):
-            at[g[j]] |= 1 << k
-        le_row, lt_row = {}, {}
-        below = 0
-        for e in sorted(at):
-            lt_row[e] = below
-            below |= at[e]
-            le_row[e] = below
-        le.append(le_row)
-        lt.append(lt_row)
-    return le, lt
-
-
-def _slice_covers(masks: _Masks, b: tuple[int, ...]) -> list[int]:
-    """Divisor-side cover masks of the slice at b, over generator bits.
-
-    The vertices are the generators dividing b, ``AND_j le[j][b_j]``; for
-    each variable j in supp(b) the divisors that do not attain deg_j(b),
-    ``divisors & lt[j][b_j]``, span a full simplex, and these simplices
-    cover the (nerve-dual) slice complex.  Lattice points are lcms of
-    generators, so every b_j they carry is a key of row j; any other b
-    raises KeyError.
-    """
-    le, lt = masks
-    divisors = -1
-    for row, e in zip(le, b):
-        divisors &= row[e]
-    return [divisors & row[e] for row, e in zip(lt, b) if e]
-
-
 def _walk_slice(pk: _Packing, slots: int, k: int, b: int, field: str) -> dict[int, int]:
     """{d: rank of the reduced H_d of the slice at packed b}, nonzero ranks only,
     in ascending d, from the A_g of the k generators in ``slots``; beta_{d+1,b}
@@ -215,12 +246,12 @@ def betti_table(
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
     _check_field(field)
     _check_cap(lattice_cap)
-    gens, variables = ideal._exps, ideal.variables
-    pk, lattice = _lattice(gens, lattice_cap)
-    masks = _divisor_masks(gens)
+    masks = _divisor_masks(ideal._exps)
+    lt, variables = masks[1], ideal.variables
     multigraded: dict[tuple[int, Monomial], int] = {}
-    for b in map(pk.unpack_record, sorted(lattice)):
-        hom = covered_homology(_slice_covers(masks, b), field)
+    for b, divisors in _lattice(masks, lattice_cap):
+        # the divisors that do not attain b_j span a simplex; these cover the slice's nerve
+        hom = covered_homology([divisors & row[e] for row, e in zip(lt, b) if e], field)
         if hom:
             # b is a join of validated generator exponents, so it needs no re-check
             bm = Monomial._new(variables, b)

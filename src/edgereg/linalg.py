@@ -36,9 +36,10 @@ def rank_int(rows: list[dict[int, int]], ncols: int) -> int:
     A row holding ``a`` at the highest column of a pivot row ``piv`` with
     ``p`` there becomes ``(p/g)*row - (a/g)*piv`` with ``g = gcd(p, a)``;
     a row scaled by ``p/g != 1`` is then divided by the gcd of its entries.
-    Each update scales a row by a nonzero integer and adds a multiple of a
-    pivot row, so the rank over Q is kept exactly.  The input is not
-    modified.
+    A pivot row is kept with a positive entry at its highest column, so a
+    unit pivot entry, the usual one, is 1 and needs no scaling.  Each update
+    scales a row by a nonzero integer and adds a multiple of a pivot row,
+    so the rank over Q is kept exactly.  The input is not modified.
     """
     _check_dims(len(rows), ncols)
     pivots: dict[int, dict[int, int]] = {}
@@ -48,7 +49,7 @@ def rank_int(rows: list[dict[int, int]], ncols: int) -> int:
             top = max(row)
             piv = pivots.get(top)
             if piv is None:
-                pivots[top] = row
+                pivots[top] = row if row[top] > 0 else {c: -v for c, v in row.items()}
                 break
             p, a = piv[top], row[top]
             g = gcd(p, a)

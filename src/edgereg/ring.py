@@ -13,7 +13,7 @@ import struct
 import sys
 from array import array
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegreeCapError, ParseError, VariableSetMismatchError
 
@@ -100,7 +100,7 @@ class _Packing:
     (n, width) has one packing, made the first time it is asked for.
     """
 
-    __slots__ = ("shift", "guards", "mod", "_struct", "unpack_record", "_slot")
+    __slots__ = ("shift", "guards", "mod", "_struct", "_slot")
     _ones: dict[tuple[int, int], int] = {}  # (slot bytes, k): 1 in each of k slots of joins
     _shapes: dict[tuple[int, int], "_Packing"] = {}  # (n, width): the packing of that shape
 
@@ -118,8 +118,7 @@ class _Packing:
             self.shift = width - 1
             self.mod = (1 << width) - 1
             self.guards = sum(1 << (k * width + self.shift) for k in range(n))
-            self._struct = struct.Struct(f">{n}{code}" if n else ">x")  # no 0-byte records
-            self.unpack_record = self._struct.unpack  # of lcm_records
+            self._struct = struct.Struct(f">{n}{code}" if n else ">x")  # a pad byte: no 0-byte slot
             self._slot = -(-self._struct.size // 8) * 8  # slot bytes: one or more words
         return self
 
@@ -167,30 +166,6 @@ class _Packing:
         below = (guards & ~((slots | guards) - h)).to_bytes(size * k, "little")  # where g < b
         return [int.from_bytes(below[i:i + size], "little")
                 for i in range(0, size * k, size) if divides[i:i + size] == full]
-
-    def lcm_records(self, packed: Iterable[int]) -> Iterator[set[bytes]]:
-        """The joins of nonempty subsets of the packed vectors, as big-endian
-        struct records (bytes order is lex order), yielded after each vector
-        so the caller can cap them.  Each vector g is joined with every record
-        at once: the SWAR step of joins on the records concatenated, with
-        ``ones`` holding 1 in each, whose guard bits stop every borrow."""
-        size = self._struct.size
-        split, unit = struct.Struct(f"{size}s").iter_unpack, bytes(size - 1) + b"\1"
-        lattice, new = set(), set()
-        points = ones = 0  # the records of lattice concatenated, and 1 in each
-        for g in packed:
-            width = 8 * size * len(new)
-            points = points << width | int.from_bytes(b"".join(new), "big")
-            ones = ones << width | int.from_bytes(unit * len(new), "big")
-            h, gk = g * ones, self.guards * ones
-            c = gk & ~((points | gk) - h)
-            h = points ^ ((h ^ points) & (c - (c >> self.shift)))  # the joins
-            del gk, c
-            new = {r for (r,) in split(h.to_bytes(len(lattice) * size, "big"))}
-            new.add(g.to_bytes(size, "big"))
-            new -= lattice
-            lattice |= new
-            yield lattice
 
     def minimal(self, packed: Iterable[int]) -> list[int]:
         """The packed vectors that no other one divides, each once, in

@@ -188,6 +188,24 @@ def slice_covers_reference(
     return len(divisors), covers
 
 
+def _slice_covers(masks, b: tuple[int, ...]) -> list[int]:
+    """Divisor-side cover masks of the slice at b, over generator bits, from
+    the rows ``(le, lt)`` of ``betti._divisor_masks``.
+
+    The vertices are the generators dividing b, ``AND_j le[j][b_j]``; for
+    each variable j in supp(b) the divisors that do not attain deg_j(b),
+    ``divisors & lt[j][b_j]``, span a full simplex, and these simplices
+    cover the (nerve-dual) slice complex.  Lattice points are lcms of
+    generators, so every b_j they carry is a key of row j; any other b
+    raises KeyError.
+    """
+    le, lt = masks
+    divisors = -1
+    for row, e in zip(le, b):
+        divisors &= row[e]
+    return [divisors & row[e] for row, e in zip(lt, b) if e]
+
+
 def mv_candidates_reference(
     gens: tuple[tuple[int, ...], ...], cap: int
 ) -> dict[tuple[int, ...], int]:

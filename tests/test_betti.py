@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from edgereg.betti import (
     DEFAULT_LATTICE_CAP,
     _divisor_masks,
-    _slice_covers,
     betti_table,
     lcm_lattice,
     regularity,
@@ -39,6 +38,7 @@ from edgereg.verify import REFERENCE_EXAMPLES, enumerate_instances
 from conftest import ideals, seeded_random_ideal, variable_set
 from oracles import (
     NotSquarefreeError,
+    _slice_covers,
     betti_table_reference,
     compare_tables,
     fraction_rank,
@@ -230,22 +230,54 @@ def test_one_covered_homology_call_per_lattice_point(monkeypatch, ideal):
     assert len(calls) == lcm_lattice(ideal).size
 
 
-def test_the_table_slices_each_lattice_point_once_through_the_shared_slice(monkeypatch):
+def _record_table(ideal: MonomialIdeal) -> tuple[list, list]:
+    """The points that betti._lattice hands a table of the ideal, and the
+    covers the table slices, in order."""
     import edgereg.betti as betti_module
 
+    points, covers = [], []
+    lattice, slice_homology = betti_module._lattice, betti_module.covered_homology
+
+    def recording_lattice(masks, cap):
+        for b, divisors in lattice(masks, cap):
+            points.append(b)
+            yield b, divisors
+
+    def recording_slice(rows, field):
+        covers.append(rows)
+        return slice_homology(rows, field)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(betti_module, "_lattice", recording_lattice)
+        monkeypatch.setattr(betti_module, "covered_homology", recording_slice)
+        betti_table(ideal)
+    return points, covers
+
+
+def test_the_table_slices_each_lattice_point_once_through_the_shared_slice():
     ideal = I("(x1^3*x2, x2^2*x3^2, x1*x3^3, x1^2*x2^2*x3)")
-    slices = []
-    original = betti_module._slice_covers
+    points, covers = _record_table(ideal)
+    assert len(set(points)) == len(points) == len(covers)  # each point once, one slice each
+    assert sorted(points) == points  # ascending lex order
+    assert set(points) == subset_lcm_lattice(ideal)
+    assert len(points) == lcm_lattice(ideal).size
 
-    def recording(masks, b):
-        slices.append(b)
-        return original(masks, b)
 
-    monkeypatch.setattr(betti_module, "_slice_covers", recording)
-    betti_table(ideal)
-    assert sorted(slices) == slices  # ascending lex order, the order of the packed ints
-    assert set(slices) == set(lcm_lattice(ideal).multidegrees)
-    assert len(slices) == lcm_lattice(ideal).size
+@given(ideals(n_vars=4, max_gens=5, max_exp=3))
+@example(I("(x1^3*x2, x2^2*x3^2, x1*x3^3, x1^2*x2^2*x3)"))
+@settings(max_examples=60, deadline=None)
+def test_the_table_covers_each_point_as_the_oracle_does(ideal):
+    points, covers = _record_table(ideal)
+    masks = _divisor_masks(gens_of(ideal))
+    assert covers == [_slice_covers(masks, b) for b in points]
+
+
+def test_the_table_walks_the_lattice_over_1200_variables():
+    # a recursive walk over the variables overflows Python's stack at about 990
+    variables = variable_set(1200)
+    halves = ([1] * 600 + [0] * 600, [0] * 600 + [1] * 600)
+    ideal = MonomialIdeal(variables, [Monomial.from_dense(variables, g) for g in halves])
+    assert betti_table(ideal).nonzero() == [(0, 600, 2), (1, 1200, 1)]
 
 
 def test_regularity_search_slices_only_tree_candidates(monkeypatch):
