@@ -12,7 +12,9 @@ and any run that was not correct.
 The change-side records go, as run.py wrote them, to ``--out`` (one JSON
 list): the untraced runs at seeds 0 and 7 and one traced run at seed 0 per
 workload, which is what a BENCH file holds.  Every run lasts the
-``run_seconds`` of the change's ``BENCHMARK.json``.  Only ``edgebench/``
+``run_seconds`` of the change's ``BENCHMARK.json``.  ``--seconds N`` sets
+another length for a quick sizing; it is refused together with ``--out``,
+so a BENCH file always holds runs of ``run_seconds``.  Only ``edgebench/``
 and ``BENCHMARK.json`` of each checkout are read; each run writes its
 record into its own checkout's ``edgebench/results/``.  Example, from the
 root of the change:
@@ -101,13 +103,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="0,7,3,11,61,67,71,73,79,83",
                         help="one pair per seed (default %(default)s)")
     parser.add_argument("--out", type=Path, help="the BENCH file to write, e.g. BENCH_N.json")
+    parser.add_argument("--seconds", type=int,
+                        help="seconds per run for a sizing run (default: run_seconds); not with --out")
     args = parser.parse_args(argv)
+    if args.seconds is not None and args.out:
+        parser.error("--seconds is refused with --out: a BENCH file holds runs of run_seconds")
+    if args.seconds is not None and args.seconds < 1:
+        parser.error(f"--seconds must be at least 1, got {args.seconds}")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     seeds = [int(s) for s in args.seeds.split(",")]
-    seconds = spec["run_seconds"]
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 
     kept: list[dict] = []
     table = ["| workload | metric | parent | change | change better | verdict |",

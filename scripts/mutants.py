@@ -75,7 +75,7 @@ MUTANTS = (
     Mutant("lattice walk visits the exponents in descending order", "src/edgereg/betti.py",
            "sorted(le_row.items())", "sorted(le_row.items(), reverse=True)", _WALK),
     Mutant("table reads its leaf covers from le, not lt", "src/edgereg/betti.py",
-           "lt, variables = masks[1]", "lt, variables = masks[0]", _WALK),
+           "~lt_row[e], lt_row[e])", "~lt_row[e], m)", _WALK),
     Mutant("table records ranks at the reduced degree", "src/edgereg/betti.py",
            "multigraded[(d + 1, bm)] = r", "multigraded[(d, bm)] = r", _WALK),
     # the slot joins that build each child of the regularity walk
@@ -138,6 +138,14 @@ MUTANTS = (
     Mutant("cycle when one vertex hangs off the cycle", "src/edgereg/digraph.py",
            "if len(core) == graph.n_vertices:", "if len(core) >= graph.n_vertices - 1:",
            ("tests/test_digraph.py",)),
+    # what a graph computes once and keeps
+    Mutant("classification kept in one slot shared by every graph", "src/edgereg/digraph.py",
+           "    return graph._tag\n", "    return classify.__dict__.setdefault(\"tag\", graph._tag)\n",
+           ("tests/test_constructions.py::test_each_graph_keeps_its_own_classification_and_edge_ideal",)),
+    Mutant("edge ideal kept per vertex names", "src/edgereg/constructions.py",
+           "    return graph._ideal\n",
+           "    return edge_ideal.__dict__.setdefault(graph.vertex_names, graph._ideal)\n",
+           ("tests/test_constructions.py::test_each_graph_keeps_its_own_classification_and_edge_ideal",)),
     # the paper's constructions and closed forms
     Mutant("descent depth ell one level too deep", "src/edgereg/constructions.py",
            "ell = min(t, n // 2) - 1", "ell = min(t, n // 2)", ("tests/test_colon_parts.py",)),

@@ -6,10 +6,10 @@ Betti number beta_{i,b}(I).  The table computes one slice per point of the
 lcm lattice of the minimal generators; multidegrees outside it contribute
 nothing.  The lattice is walked depth first over the variables, each
 exponent in ascending order, so its points come in lex order, each with
-the mask of the generators dividing it (``_lattice``); a witness per
-exponent keeps every prefix on the way to a point.  The table slices each
-point as the walk hands it over.  The graded table aggregates by
-total degree and the regularity is max{j - i : beta_{i,j} != 0}.
+its slice covers (``_lattice``); a witness per exponent keeps every
+prefix on the way to a point.  The table slices each point as the walk
+hands it over.  The graded table aggregates by total degree and the
+regularity is max{j - i : beta_{i,j} != 0}.
 
 The regularity needs no table.  Only the multidegrees that the
 Mayer-Vietoris tree of I emits can carry a Betti number (Saenz-de-Cabezon,
@@ -23,9 +23,9 @@ vectors (``ring._Packing``).
 
 The slice at b, the squarefree tau in supp(b) with x^b / x^tau in I, is the
 union of the simplices ``A_g = {j : g_j < b_j}`` over the divisors g of b.
-A table covers each lattice point by their nerve, from mask rows built once
-(per j and e, the g with g_j < e) and the divisor mask the lattice walk
-hands over; the regularity walk covers its few slices by the A_g
+A table covers each lattice point by their nerve: each level of the lattice
+walk keeps its mask row (the g with g_j < b_j), and a point ANDs into these
+the mask of its divisors; the regularity walk covers its few slices by the A_g
 themselves, off the root's packed slots (``_Packing.covers``).  By the nerve
 lemma both have one homology, computed by :mod:`edgereg.homology`.
 """
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
+from itertools import compress
 
 from .errors import ResourceCapError, ZeroIdealError
 from .homology import FIELD_Q, _check_field, covered_homology
@@ -91,9 +92,11 @@ def _divisor_masks(gens: Sequence[tuple[int, ...]]) -> _Masks:
     return le, lt
 
 
-def _lattice(masks: _Masks, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(b, D) for each point b of the lcm lattice in lex order, D the mask of
-    the generators that divide b, from ``masks = _divisor_masks(gens)``.
+def _lattice(masks: _Masks, cap: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(b, covers) for each point b of the lcm lattice in lex order, from
+    ``masks = _divisor_masks(gens)``: covers are ``D & lt[j][b_j]`` for each
+    b_j > 0, D the mask of the generators dividing b, from the row each level
+    chose.  b is the walk's live prefix; a caller that keeps a point copies it.
 
     b is a point exactly when D is nonempty and each b_j > 0 is attained,
     g_j = b_j, by some g in D.  Depth first over the variables, on a stack,
@@ -106,18 +109,19 @@ def _lattice(masks: _Masks, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
     le, lt = masks
     n = len(le)
     if not n:  # the unit ideal over no variables
-        yield (), -1
+        yield [], []
         return
-    # per variable, (e, generators with g_j <= e, generators with g_j == e > 0), ascending in e
-    rows = [[(e, m, e and m & ~lt_row[e]) for e, m in sorted(le_row.items())]
+    # per variable, (e, generators with g_j <= e, with g_j == e > 0, with g_j < e), ascending in e
+    rows = [[(e, m, e and m & ~lt_row[e], lt_row[e]) for e, m in sorted(le_row.items())]
             for le_row, lt_row in zip(le, lt)]
-    b, need = [0] * n, [0] * n  # the prefix, and per b_j > 0 the generators attaining it
+    # the prefix, per b_j > 0 the generators attaining it, and the rows lt[j][b_j]
+    b, need, low = [0] * n, [0] * n, [0] * n
     # per level: keys left, D above (-1: all), OR of the witnesses above, and their list
     its, divs, seen, wits = [iter(rows[0])] * n, [-1] * n, [0] * n, [[0] * n] * n
     points, j, last = 0, 0, n - 1
     while j >= 0:
         above, wit = divs[j], wits[j]
-        for e, m, at in its[j]:
+        for e, m, at, below in its[j]:
             d = above & m
             if d == above:  # so some g of D has g_j = e, and no later e is attained
                 its[j], kept = iter(()), seen[j]
@@ -142,13 +146,13 @@ def _lattice(masks: _Masks, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
         else:
             j -= 1
             continue
-        b[j] = e
+        b[j], low[j] = e, below
         if j == last:
             points += 1
             if points > cap:
                 raise ResourceCapError(f"lcm lattice exceeds the size cap {cap}; "
                                        f"raise it with --lattice-cap (lattice_cap=) to proceed")
-            yield tuple(b), d
+            yield b, [d & r for r in compress(low, b)]
             continue
         w = d & at
         w &= -w
@@ -160,7 +164,7 @@ def _lattice(masks: _Masks, cap: int) -> Iterator[tuple[tuple[int, ...], int]]:
 def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm lattice")
-    points = (b for b, _ in _lattice(_divisor_masks(ideal._exps), DEFAULT_LATTICE_CAP))
+    points = (tuple(b) for b, _ in _lattice(_divisor_masks(ideal._exps), DEFAULT_LATTICE_CAP))
     return LcmLattice(tuple(sorted(points, key=lambda b: (sum(b), b))))
 
 
@@ -246,15 +250,13 @@ def betti_table(
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
     _check_field(field)
     _check_cap(lattice_cap)
-    masks = _divisor_masks(ideal._exps)
-    lt, variables = masks[1], ideal.variables
     multigraded: dict[tuple[int, Monomial], int] = {}
-    for b, divisors in _lattice(masks, lattice_cap):
+    for b, covers in _lattice(_divisor_masks(ideal._exps), lattice_cap):
         # the divisors that do not attain b_j span a simplex; these cover the slice's nerve
-        hom = covered_homology([divisors & row[e] for row, e in zip(lt, b) if e], field)
+        hom = covered_homology(covers, field)
         if hom:
             # b is a join of validated generator exponents, so it needs no re-check
-            bm = Monomial._new(variables, b)
+            bm = Monomial._new(ideal.variables, tuple(b))
             for d, r in hom.items():
                 multigraded[(d + 1, bm)] = r
     return BettiTable(field, multigraded)

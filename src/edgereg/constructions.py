@@ -23,14 +23,17 @@ from .ring import Monomial, VariableSet, _check_degree, _check_power
 
 
 def edge_ideal(graph: WeightedDigraph) -> MonomialIdeal:
-    """One generator ``x_tail * x_head^{w(head)}`` per directed edge."""
-    if graph.n_vertices == 0:
-        raise EmptyGraphError("edge ideal of an empty graph")
-    if graph.n_edges == 0:
-        raise EmptyGraphError("graph has no edges; its edge ideal is zero")
-    variables = graph.variable_set()
-    vectors = [_edge_vector(graph, variables, tail, head) for tail, head in graph.edges]
-    return MonomialIdeal._of(variables, _minimalize(len(variables), vectors))
+    """One generator ``x_tail * x_head^{w(head)}`` per directed edge, built on
+    the first call and kept on the graph."""
+    if graph._ideal is None:
+        if graph.n_vertices == 0:
+            raise EmptyGraphError("edge ideal of an empty graph")
+        if graph.n_edges == 0:
+            raise EmptyGraphError("graph has no edges; its edge ideal is zero")
+        variables = graph.variable_set()
+        vectors = [_edge_vector(graph, variables, tail, head) for tail, head in graph.edges]
+        graph._ideal = MonomialIdeal._of(variables, _minimalize(len(variables), vectors))
+    return graph._ideal
 
 
 def _edge_vector(

@@ -35,11 +35,12 @@ class Family(str, Enum):
 
 
 class WeightedDigraph:
-    """Immutable weighted digraph with named vertices."""
+    """Immutable weighted digraph with named vertices.  It computes its
+    classification and its edge ideal once: the first ``classify`` and
+    ``constructions.edge_ideal`` fill ``_tag`` and ``_ideal``."""
 
-    __slots__ = (
-        "_names", "_weights", "_edges", "_out", "_in", "_normalizations", "_variables",
-    )
+    __slots__ = ("_names", "_weights", "_edges", "_out", "_in", "_normalizations", "_variables",
+                 "_tag", "_ideal")
 
     def __init__(
         self,
@@ -87,6 +88,7 @@ class WeightedDigraph:
         self._in = {v: tuple(ts) for v, ts in in_adj.items()}
         self._normalizations = tuple(normalizations)
         self._variables = VariableSet(vnames)
+        self._tag = self._ideal = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -226,6 +228,13 @@ def _two_core(graph: WeightedDigraph) -> set[str]:
 
 
 def classify(graph: WeightedDigraph) -> FamilyTag:
+    """The graph's family, computed on the first call and kept on the graph."""
+    if graph._tag is None:
+        graph._tag = _classify(graph)
+    return graph._tag
+
+
+def _classify(graph: WeightedDigraph) -> FamilyTag:
     """Assign the graph to its family in one pass.
 
     An antiparallel pair makes a graph Other.  Without one, a graph with |E| = |V| - #components is a

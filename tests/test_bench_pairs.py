@@ -35,3 +35,22 @@ PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
 ])
 def test_verdict(metric, parent, change, expected):
     assert bench_pairs.verdict(metric, parent, change) == expected
+
+
+@pytest.mark.parametrize("seconds, out, message", [
+    ("10", True, "--seconds is refused with --out"),
+    ("0", False, "--seconds must be at least 1"),
+])
+def test_seconds_is_refused_before_any_run(tmp_path, monkeypatch, capsys, seconds, out, message):
+    # a BENCH file always holds runs of BENCHMARK.json's run_seconds
+    def no_run(*args):
+        raise AssertionError("a refused command line started a run")
+
+    monkeypatch.setattr(bench_pairs, "run", no_run)
+    bench = tmp_path / "BENCH_N.json"
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--seconds", seconds]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv + (["--out", str(bench)] if out else []))
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not bench.exists()

@@ -158,40 +158,50 @@ def test_packed_lattice_matches_subset_enumeration_on_wide_exponents(ideal):
     assert list(points) == sorted(points, key=lambda b: (sum(b), b))
 
 
-@st.composite
-def generators_and_points(draw):
-    """Exponent vectors (not necessarily minimal) and the join b of some of
-    them, the only multidegrees the engine slices."""
-    n = draw(st.integers(1, 5))
-    vec = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
-    gens = draw(st.lists(vec, min_size=1, max_size=7))
-    chosen = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=len(gens)))
-    return gens, tuple(map(max, *chosen)) if len(chosen) > 1 else chosen[0]
+def _record_table(ideal: MonomialIdeal) -> tuple[list, list, list]:
+    """The points that betti._lattice hands a table of the ideal, the covers
+    it hands along with each, and the covers the table slices, in order."""
+    import edgereg.betti as betti_module
+
+    points, handed, covers = [], [], []
+    lattice, slice_homology = betti_module._lattice, betti_module.covered_homology
+
+    def recording_lattice(masks, cap):
+        for b, point_covers in lattice(masks, cap):
+            points.append(tuple(b))  # b is the walk's live prefix
+            handed.append(list(point_covers))
+            yield b, point_covers
+
+    def recording_slice(rows, field):
+        covers.append(list(rows))
+        return slice_homology(rows, field)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(betti_module, "_lattice", recording_lattice)
+        monkeypatch.setattr(betti_module, "covered_homology", recording_slice)
+        betti_table(ideal)
+    return points, handed, covers
 
 
-@given(generators_and_points())
-@settings(max_examples=300, deadline=None)
-def test_mask_covers_match_tuple_scan_up_to_relabelling(case):
-    gens, b = case
-    covers = _slice_covers(_divisor_masks(gens), b)
-    nverts, expected = slice_covers_reference(gens, b)
-    # the reference numbers the divisors 0.. in generator order
-    divisors = [k for k, g in enumerate(gens) if all(x <= y for x, y in zip(g, b))]
-    label = {k: 1 << i for i, k in enumerate(divisors)}
-    relabelled = []
-    for mask in covers:
-        bits = [k for k in range(len(gens)) if mask >> k & 1]
-        assert set(bits) <= set(label), "a cover holds a generator that does not divide b"
-        relabelled.append(sum(label[k] for k in bits))
-    assert len(divisors) == nverts
-    assert relabelled == expected
-
-
-@pytest.mark.parametrize("b", [(2, 1), (1, 2), (3, 0)])
-def test_mask_covers_refuse_an_exponent_no_generator_has(b):
-    # only lcms of generators are sliced, so every b_j is some generator's exponent
-    with pytest.raises(KeyError):
-        _slice_covers(_divisor_masks([(1, 0), (0, 1)]), b)
+@given(ideals(n_vars=5, max_gens=7, max_exp=4))
+@settings(max_examples=150, deadline=None)
+def test_mask_covers_match_tuple_scan_up_to_relabelling(ideal):
+    # the covers the table slices, against a scan of exponent tuples at each point
+    gens = gens_of(ideal)
+    points, _, covers = _record_table(ideal)
+    assert len(points) == len(covers)
+    for b, point_covers in zip(points, covers):
+        nverts, expected = slice_covers_reference(gens, b)
+        # the reference numbers the divisors 0.. in generator order
+        divisors = [k for k, g in enumerate(gens) if all(x <= y for x, y in zip(g, b))]
+        label = {k: 1 << i for i, k in enumerate(divisors)}
+        relabelled = []
+        for mask in point_covers:
+            bits = [k for k in range(len(gens)) if mask >> k & 1]
+            assert set(bits) <= set(label), "a cover holds a generator that does not divide b"
+            relabelled.append(sum(label[k] for k in bits))
+        assert len(divisors) == nverts
+        assert relabelled == expected
 
 
 @given(ideals(n_vars=3, max_gens=4, max_exp=3))
@@ -230,33 +240,9 @@ def test_one_covered_homology_call_per_lattice_point(monkeypatch, ideal):
     assert len(calls) == lcm_lattice(ideal).size
 
 
-def _record_table(ideal: MonomialIdeal) -> tuple[list, list]:
-    """The points that betti._lattice hands a table of the ideal, and the
-    covers the table slices, in order."""
-    import edgereg.betti as betti_module
-
-    points, covers = [], []
-    lattice, slice_homology = betti_module._lattice, betti_module.covered_homology
-
-    def recording_lattice(masks, cap):
-        for b, divisors in lattice(masks, cap):
-            points.append(b)
-            yield b, divisors
-
-    def recording_slice(rows, field):
-        covers.append(rows)
-        return slice_homology(rows, field)
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(betti_module, "_lattice", recording_lattice)
-        monkeypatch.setattr(betti_module, "covered_homology", recording_slice)
-        betti_table(ideal)
-    return points, covers
-
-
 def test_the_table_slices_each_lattice_point_once_through_the_shared_slice():
     ideal = I("(x1^3*x2, x2^2*x3^2, x1*x3^3, x1^2*x2^2*x3)")
-    points, covers = _record_table(ideal)
+    points, _, covers = _record_table(ideal)
     assert len(set(points)) == len(points) == len(covers)  # each point once, one slice each
     assert sorted(points) == points  # ascending lex order
     assert set(points) == subset_lcm_lattice(ideal)
@@ -267,9 +253,9 @@ def test_the_table_slices_each_lattice_point_once_through_the_shared_slice():
 @example(I("(x1^3*x2, x2^2*x3^2, x1*x3^3, x1^2*x2^2*x3)"))
 @settings(max_examples=60, deadline=None)
 def test_the_table_covers_each_point_as_the_oracle_does(ideal):
-    points, covers = _record_table(ideal)
+    points, handed, covers = _record_table(ideal)
     masks = _divisor_masks(gens_of(ideal))
-    assert covers == [_slice_covers(masks, b) for b in points]
+    assert handed == covers == [_slice_covers(masks, b) for b in points]
 
 
 def test_the_table_walks_the_lattice_over_1200_variables():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+from itertools import permutations
 from itertools import product as iter_product
 
 import pytest
@@ -12,7 +14,7 @@ from edgereg.constructions import (
     edge_ideal,
     ordered_power_basis,
 )
-from edgereg.digraph import WeightedDigraph, make_cycle
+from edgereg.digraph import Family, WeightedDigraph, classify, make_cycle
 from edgereg.errors import (
     DegreeCapError, EmptyGraphError, FamilyMismatchError, GeneratorMembershipError,
 )
@@ -30,6 +32,50 @@ def I(text: str, n: int = 3) -> MonomialIdeal:
 def strip(a, b) -> tuple[int, ...]:
     """The exponents of a / gcd(a, b), the generator of ((a) : b)."""
     return tuple(x - min(x, y) for x, y in zip(a.dense(), b.dense()))
+
+
+_RING = [("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x1")]
+# graphs on the same vertex names that differ in weights or orientation, each
+# with its classification (kind, cycle, shape, violations) and its edge ideal
+SAME_NAMES = [
+    (make_cycle([2, 2, 2, 2]), (Family.ORIENTED_CYCLE, ("x1", "x2", "x3", "x4"), "cycle", ()),
+     "(x4*x1^2, x1*x2^2, x2*x3^2, x3*x4^2)"),
+    (make_cycle([3, 2, 2, 2]), (Family.ORIENTED_CYCLE, ("x1", "x2", "x3", "x4"), "cycle", ()),
+     "(x4*x1^3, x1*x2^2, x2*x3^2, x3*x4^2)"),
+    (WeightedDigraph([(f"x{i}", 2) for i in range(1, 5)], [(h, t) for t, h in _RING]),
+     (Family.ORIENTED_CYCLE, ("x1", "x4", "x3", "x2"), "cycle", ()),
+     "(x2*x1^2, x3*x2^2, x4*x3^2, x1*x4^2)"),
+    (WeightedDigraph([(f"x{i}", 2) for i in range(1, 5)], _RING[:3]),
+     (Family.ROOTED_FOREST, (), "forest", ()), "(x1*x2^2, x2*x3^2, x3*x4^2)"),
+]
+
+
+def _facts(tag) -> tuple:
+    return tag.kind, tag.cycle, tag.shape, tag.violations
+
+
+def _copy(graph: WeightedDigraph) -> WeightedDigraph:
+    return WeightedDigraph([(v, graph.weight(v)) for v in graph.vertex_names], graph.edges)
+
+
+@pytest.mark.parametrize("ideal_first", [False, True], ids=["classify-first", "ideal-first"])
+@pytest.mark.parametrize("first, second", list(permutations(range(len(SAME_NAMES)), 2)))
+def test_each_graph_keeps_its_own_classification_and_edge_ideal(first, second, ideal_first):
+    # graphs keep both per instance; names alone, or one slot for all, would mix these up
+    cases = [SAME_NAMES[first], SAME_NAMES[second]]
+    pair = [_copy(graph) for graph, _, _ in cases]  # nothing computed on them yet
+    steps = (edge_ideal, classify) if ideal_first else (classify, edge_ideal)
+    got = {(step, k): step(graph) for step in steps for k, graph in enumerate(pair)}
+    for k, (graph, (_, tag, text)) in enumerate(zip(pair, cases)):
+        assert _facts(got[classify, k]) == tag
+        assert got[edge_ideal, k] == I(text, 4)
+        fresh = _copy(graph)
+        assert _facts(classify(fresh)) == _facts(got[classify, k])
+        assert edge_ideal(fresh) == got[edge_ideal, k]
+        assert classify(graph) is got[classify, k] and edge_ideal(graph) is got[edge_ideal, k]
+        # campaign workers get graphs pickled, with whatever they hold
+        restored = pickle.loads(pickle.dumps(graph))
+        assert _facts(classify(restored)) == tag and edge_ideal(restored) == I(text, 4)
 
 
 class TestEdgeIdeal:
