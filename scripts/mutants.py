@@ -68,8 +68,8 @@ MUTANTS = (
            "best = max(best, (item % mod - h - 1, -h - 1))", "best = max(best, (item % mod - h, -h))",
            _WALK),
     # the lcm-lattice walk and the table loop of betti.betti_table
-    Mutant("lattice walk skips the witness refresh", "src/edgereg/betti.py",
-           "gone = seen[j] ^ kept", "gone = 0", _WALK),
+    Mutant("lattice walk skips the earlier attainment check", "src/edgereg/betti.py",
+           "for a in need:", "for a in ():", _WALK),
     Mutant("lattice walk leaves a new exponent's attainment unchecked", "src/edgereg/betti.py",
            "if not d or e and not d & at:", "if not d:", _WALK),
     Mutant("lattice walk visits the exponents in descending order", "src/edgereg/betti.py",
@@ -161,6 +161,10 @@ MUTANTS = (
     Mutant("sources not exempt from the weight hypothesis", "src/edgereg/digraph.py",
            " and not graph.is_source(v)", "", ("tests/test_formulas.py",)),
     # checks that refuse work or input before it starts
+    Mutant("ordered power basis built past its entry cap", "src/edgereg/constructions.py",
+           "if size > cap:", "if False:",
+           ("tests/test_constructions.py::TestOrderedBasis::"
+            "test_entries_are_counted_against_the_cap_before_any_is_built",)),
     Mutant("a bool taken as a power", "src/edgereg/ring.py",
            "if type(t) is not int or t < 1:", "if not isinstance(t, int) or t < 1:",
            ("tests/test_formulas.py::test_a_power_is_a_plain_int_of_at_least_one",)),

@@ -6,9 +6,10 @@ Betti number beta_{i,b}(I).  The table computes one slice per point of the
 lcm lattice of the minimal generators; multidegrees outside it contribute
 nothing.  The lattice is walked depth first over the variables, each
 exponent in ascending order, so its points come in lex order, each with
-its slice covers (``_lattice``); a witness per exponent keeps every
-prefix on the way to a point.  The table slices each point as the walk
-hands it over.  The graded table aggregates by total degree and the
+its divisors and the mask rows its levels chose (``_lattice``); a prefix
+is kept only while its divisors still attain every exponent chosen above,
+so every prefix is on the way to a point.  The table slices each point as
+the walk hands it over.  The graded table aggregates by total degree and the
 regularity is max{j - i : beta_{i,j} != 0}.
 
 The regularity needs no table.  Only the multidegrees that the
@@ -24,8 +25,8 @@ vectors (``ring._Packing``).
 The slice at b, the squarefree tau in supp(b) with x^b / x^tau in I, is the
 union of the simplices ``A_g = {j : g_j < b_j}`` over the divisors g of b.
 A table covers each lattice point by their nerve: each level of the lattice
-walk keeps its mask row (the g with g_j < b_j), and a point ANDs into these
-the mask of its divisors; the regularity walk covers its few slices by the A_g
+walk keeps its mask row (the g with g_j < b_j), and the table ANDs into the
+rows of a point's b_j > 0 the mask of its divisors; the regularity walk covers its few slices by the A_g
 themselves, off the root's packed slots (``_Packing.covers``).  By the nerve
 lemma both have one homology, computed by :mod:`edgereg.homology`.
 """
@@ -92,59 +93,52 @@ def _divisor_masks(gens: Sequence[tuple[int, ...]]) -> _Masks:
     return le, lt
 
 
-def _lattice(masks: _Masks, cap: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(b, covers) for each point b of the lcm lattice in lex order, from
-    ``masks = _divisor_masks(gens)``: covers are ``D & lt[j][b_j]`` for each
-    b_j > 0, D the mask of the generators dividing b, from the row each level
-    chose.  b is the walk's live prefix; a caller that keeps a point copies it.
+def _lattice(masks: _Masks, cap: int) -> Iterator[tuple[list[int], int, list[int]]]:
+    """(b, D, low) for each point b of the lcm lattice in lex order, from
+    ``masks = _divisor_masks(gens)``: D is the mask of the generators dividing
+    b, and ``low[j] = lt[j][b_j]`` the row each level chose, so the slice
+    covers are ``D & low[j]`` for each b_j > 0.  b and low are the walk's live
+    lists; a caller that keeps a point copies it.
 
     b is a point exactly when D is nonempty and each b_j > 0 is attained,
     g_j = b_j, by some g in D.  Depth first over the variables, on a stack,
     the walk tries at variable j the keys e of row j in ascending order up to
     the first that keeps all of D, which is attained: ``D &= le[j][e]``, and
-    e > 0 needs a witness g in ``D & ~lt[j][e]``.  A witness that D loses is
-    replaced, or the branch is dropped, so every prefix kept extends to the
+    e > 0 needs an attainer in ``D & at`` with ``at`` the g with g_j = e.  The
+    ``at`` of each chosen b_i > 0 above j stays on one stack, and a key whose
+    D misses any of them is skipped, so every prefix kept extends to the
     point lcm(D): about n * |L| prefixes.  The cap fires at point cap + 1.
     """
     le, lt = masks
     n = len(le)
     if not n:  # the unit ideal over no variables
-        yield [], []
+        yield [], 1, []
         return
     # per variable, (e, generators with g_j <= e, with g_j == e > 0, with g_j < e), ascending in e
     rows = [[(e, m, e and m & ~lt_row[e], lt_row[e]) for e, m in sorted(le_row.items())]
             for le_row, lt_row in zip(le, lt)]
-    # the prefix, per b_j > 0 the generators attaining it, and the rows lt[j][b_j]
-    b, need, low = [0] * n, [0] * n, [0] * n
-    # per level: keys left, D above (-1: all), OR of the witnesses above, and their list
-    its, divs, seen, wits = [iter(rows[0])] * n, [-1] * n, [0] * n, [[0] * n] * n
+    b, low = [0] * n, [0] * n
+    its, divs = [iter(rows[0])] * n, [-1] * n  # per level: keys left, D above (-1: all)
+    need: list[int] = []  # the at of each chosen b_i > 0 above the level
     points, j, last = 0, 0, n - 1
     while j >= 0:
-        above, wit = divs[j], wits[j]
+        above = divs[j]
         for e, m, at, below in its[j]:
             d = above & m
             if d == above:  # so some g of D has g_j = e, and no later e is attained
-                its[j], kept = iter(()), seen[j]
+                its[j] = iter(())
                 break
             if not d or e and not d & at:
                 continue
-            kept = seen[j] & d
-            gone = seen[j] ^ kept  # the witnesses that D lost
-            if not gone:
-                break
-            wit = wit[:]  # the level above keeps its own
-            for i in range(j):
-                if wit[i] & gone:
-                    r = d & need[i]
-                    if not r:
-                        break  # no generator of D attains b_i
-                    wit[i] = r & -r
-                    kept |= wit[i]
+            for a in need:
+                if not d & a:
+                    break  # no generator of D attains that b_i
             else:
                 break
-            wit = wits[j]
         else:
             j -= 1
+            if j >= 0 and b[j]:
+                need.pop()  # the at of the b_j that level chose
             continue
         b[j], low[j] = e, below
         if j == last:
@@ -152,19 +146,18 @@ def _lattice(masks: _Masks, cap: int) -> Iterator[tuple[list[int], list[int]]]:
             if points > cap:
                 raise ResourceCapError(f"lcm lattice exceeds the size cap {cap}; "
                                        f"raise it with --lattice-cap (lattice_cap=) to proceed")
-            yield b, [d & r for r in compress(low, b)]
+            yield b, d, low
             continue
-        w = d & at
-        w &= -w
-        wit[j], need[j] = w, at
+        if e:
+            need.append(at)
         j += 1
-        its[j], divs[j], seen[j], wits[j] = iter(rows[j]), d, kept | w, wit
+        its[j], divs[j] = iter(rows[j]), d
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no lcm lattice")
-    points = (tuple(b) for b, _ in _lattice(_divisor_masks(ideal._exps), DEFAULT_LATTICE_CAP))
+    points = (tuple(b) for b, _, _ in _lattice(_divisor_masks(ideal._exps), DEFAULT_LATTICE_CAP))
     return LcmLattice(tuple(sorted(points, key=lambda b: (sum(b), b))))
 
 
@@ -251,9 +244,9 @@ def betti_table(
     _check_field(field)
     _check_cap(lattice_cap)
     multigraded: dict[tuple[int, Monomial], int] = {}
-    for b, covers in _lattice(_divisor_masks(ideal._exps), lattice_cap):
+    for b, d, low in _lattice(_divisor_masks(ideal._exps), lattice_cap):
         # the divisors that do not attain b_j span a simplex; these cover the slice's nerve
-        hom = covered_homology(covers, field)
+        hom = covered_homology([d & r for r in compress(low, b)], field)
         if hom:
             # b is a join of validated generator exponents, so it needs no re-check
             bm = Monomial._new(ideal.variables, tuple(b))

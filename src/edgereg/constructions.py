@@ -13,13 +13,18 @@ here and cross-checked against direct colon computation in the tests.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from operator import add, mul
 from typing import Iterator
 
 from .digraph import Family, WeightedDigraph, classify
-from .errors import EmptyGraphError, FamilyMismatchError, GeneratorMembershipError
+from .errors import (EmptyGraphError, FamilyMismatchError, GeneratorMembershipError,
+                     ResourceCapError)
 from .ideals import MonomialIdeal, _colon, _minimalize, ideal_sum
 from .ring import Monomial, VariableSet, _check_degree, _check_power
+
+# Hard ceiling on the entries of one ordered power basis.
+MAX_BASIS_ENTRIES = 100_000
 
 
 def edge_ideal(graph: WeightedDigraph) -> MonomialIdeal:
@@ -81,7 +86,9 @@ class OrderedPowerBasis:
     """The totally ordered minimal generators of a cycle-ideal power.
 
     Entries are indexed 1..r in strictly descending lex order of their
-    exponent vectors over the edge generators.
+    exponent vectors over the edge generators.  There are C(t + n - 1, n - 1)
+    of them, counted before any is built and refused above
+    ``MAX_BASIS_ENTRIES``.
     """
 
     __slots__ = ("t", "entries", "_by_monomial", "edge_generators")
@@ -95,6 +102,10 @@ class OrderedPowerBasis:
                 f"the ordered power basis needs every weight >= 2 "
                 f"(unique decomposition can fail otherwise); offending: {', '.join(low)}"
             )
+        size, cap = comb(t + len(gens) - 1, len(gens) - 1), MAX_BASIS_ENTRIES  # read at each call
+        if size > cap:
+            raise ResourceCapError(f"the ordered power basis at t={t} has {size} entries, "
+                                   f"more than the cap MAX_BASIS_ENTRIES={cap}")
         variables = graph.variable_set()
         columns = list(zip(*[g.dense() for g in gens]))  # one variable's exponents in L_1..L_n
         entries = []

@@ -159,18 +159,19 @@ def test_packed_lattice_matches_subset_enumeration_on_wide_exponents(ideal):
 
 
 def _record_table(ideal: MonomialIdeal) -> tuple[list, list, list]:
-    """The points that betti._lattice hands a table of the ideal, the covers
-    it hands along with each, and the covers the table slices, in order."""
+    """The points that betti._lattice hands a table of the ideal, the divisor
+    mask D and the rows ``lt[j][b_j]`` of the b_j > 0 it hands along with each,
+    and the covers the table slices, in order."""
     import edgereg.betti as betti_module
 
     points, handed, covers = [], [], []
     lattice, slice_homology = betti_module._lattice, betti_module.covered_homology
 
     def recording_lattice(masks, cap):
-        for b, point_covers in lattice(masks, cap):
-            points.append(tuple(b))  # b is the walk's live prefix
-            handed.append(list(point_covers))
-            yield b, point_covers
+        for b, d, low in lattice(masks, cap):
+            points.append(tuple(b))  # b and low are the walk's live lists
+            handed.append((d, [row for row, e in zip(low, b) if e]))
+            yield b, d, low
 
     def recording_slice(rows, field):
         covers.append(list(rows))
@@ -254,8 +255,25 @@ def test_the_table_slices_each_lattice_point_once_through_the_shared_slice():
 @settings(max_examples=60, deadline=None)
 def test_the_table_covers_each_point_as_the_oracle_does(ideal):
     points, handed, covers = _record_table(ideal)
-    masks = _divisor_masks(gens_of(ideal))
-    assert handed == covers == [_slice_covers(masks, b) for b in points]
+    gens = gens_of(ideal)
+    masks = _divisor_masks(gens)
+    lt = masks[1]
+    assert covers == [_slice_covers(masks, b) for b in points]
+    # the walk hands each point its divisors and the rows lt[j][b_j] of its b_j > 0
+    divisors = [sum(1 << k for k, g in enumerate(gens) if all(map(int.__le__, g, b)))
+                for b in points]
+    assert [d for d, _ in handed] == divisors
+    assert [rows for _, rows in handed] == [[row[e] for row, e in zip(lt, b) if e]
+                                            for b in points]
+
+
+def test_the_walk_drops_a_prefix_whose_divisors_lose_an_earlier_attainer():
+    # below x1^2, the prefix x1^2*x2 keeps one divisor, x1*x2*x3, which does not attain x1^2
+    ideal = I("(x1^2*x2^2, x1*x2*x3)")
+    points, _, covers = _record_table(ideal)
+    assert points == [(1, 1, 1), (2, 2, 0), (2, 2, 1)]
+    assert set(points) == subset_lcm_lattice(ideal)
+    assert len(covers) == 3
 
 
 def test_the_table_walks_the_lattice_over_1200_variables():

@@ -7,6 +7,7 @@ import pytest
 
 from edgereg.betti import DEFAULT_LATTICE_CAP, betti_table
 from edgereg.cli import _ideal_from_args, build_parser, main
+from edgereg.digraph import make_cycle
 from edgereg.ring import DEGREE_CAP
 from edgereg.verify import (
     REFERENCE_EXAMPLES,
@@ -400,6 +401,7 @@ class TestBadInput:
             ("betti", "--ideal", "(x)", "--vars", ""),
             ("reg", "--ideal", "(x)", "--vars", ""),
             ("reg", "--ideal", "(x^99999999999)"),
+            ("basis", "--graph", "{cycle5}", "--t", "100000"),
         ],
     )
     def test_one_line_error(self, capsys, tmp_path, triangle_path, argv):
@@ -415,8 +417,9 @@ class TestBadInput:
             "edges": [["a", ["b"]]],
         }))
         csv = tmp_path / "out.csv"
+        cycle5 = write_graph(make_cycle([2] * 5), tmp_path / "c5.json")
         files = dict(graph=triangle_path, malformed=malformed, csv=csv,
-                     numeric_name=numeric_name, list_endpoint=list_endpoint)
+                     numeric_name=numeric_name, list_endpoint=list_endpoint, cycle5=cycle5)
         argv = [a.format(**files) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

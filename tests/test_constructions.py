@@ -15,8 +15,10 @@ from edgereg.constructions import (
     ordered_power_basis,
 )
 from edgereg.digraph import Family, WeightedDigraph, classify, make_cycle
+from edgereg import constructions
 from edgereg.errors import (
     DegreeCapError, EmptyGraphError, FamilyMismatchError, GeneratorMembershipError,
+    ResourceCapError,
 )
 from edgereg.ideals import MonomialIdeal, colon_by_monomial, parse_ideal, power
 from edgereg.ring import DEGREE_CAP, VariableSet, parse_monomial
@@ -142,6 +144,17 @@ class TestOrderedBasis:
     def test_weight_below_two_rejected(self):
         with pytest.raises(ValueError):
             ordered_power_basis(make_cycle([1, 2, 2]), 2)
+
+    def test_entries_are_counted_against_the_cap_before_any_is_built(self, monkeypatch):
+        # the class itself: ordered_power_basis keeps the bases it built
+        triangle, basis = make_cycle([2, 2, 2]), constructions.OrderedPowerBasis
+        monkeypatch.setattr(constructions, "MAX_BASIS_ENTRIES", 6)  # read at each call
+        assert len(basis(triangle, 2)) == 6  # C(2 + 2, 2)
+        with pytest.raises(ResourceCapError,
+                           match=r"at t=3 has 10 entries, more than the cap MAX_BASIS_ENTRIES=6$"):
+            basis(triangle, 3)
+        with pytest.raises(ResourceCapError, match="has 4167083347916875001 entries"):
+            basis(make_cycle([2] * 5), 100_000)  # C(t + 4, 4)
 
     def test_basis_matches_power_generators(self):
         for weights, t in [((2, 2, 2), 2), ((2, 3, 2, 3), 2), ((3, 2, 2, 2, 3), 2)]:
