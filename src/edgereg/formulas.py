@@ -14,7 +14,7 @@ instances is the point of the verification harness.
 
 from __future__ import annotations
 
-from .digraph import Family, FamilyTag, WeightedDigraph, classify, weight_violations
+from .digraph import Family, WeightedDigraph, classify, weight_violations
 from .errors import FamilyMismatchError
 from .ring import _check_power
 
@@ -59,20 +59,14 @@ _SHAPE_MISMATCH = {
 }
 
 
-def _predict(
-    graph: WeightedDigraph, t: int, form: str, tag: FamilyTag | None = None
-) -> FormulaResult:
-    """The closed form ``form`` applied to graph, flagged with every violation.
-
-    ``tag`` is the graph's classification when the caller already has it.
-    """
+def _predict(graph: WeightedDigraph, t: int, form: str) -> FormulaResult:
+    """The closed form ``form`` applied to graph, flagged with every violation."""
     _check_power(t)
     if t > MAX_POWER:
         raise ValueError(f"power t must be at most {MAX_POWER}, got {t}")
     if form != "cycle":
         _reject_isolated(graph)
-    if tag is None:
-        tag = classify(graph)
+    tag = classify(graph)
     if tag.shape != form:
         raise FamilyMismatchError(_SHAPE_MISMATCH[form].format(tag.kind.value))
     violations = tag.violations + weight_violations(graph, form)
@@ -124,4 +118,4 @@ def formula_for_family(graph: WeightedDigraph, t: int) -> FormulaResult:
     tag = classify(graph)
     if tag.shape is None:
         raise FamilyMismatchError(f"no closed form for family {tag.kind.value}")
-    return _predict(graph, t, tag.shape, tag)
+    return _predict(graph, t, tag.shape)

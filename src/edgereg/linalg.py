@@ -6,7 +6,9 @@ Both routines take a matrix as a list of rows.  Integer rows are
 far, keyed by their highest column, until its highest column has no pivot
 row (it becomes one) or it is zero: the "lowest one" reduction of
 persistent homology (Zomorodian--Carlsson 2005), with columns read from the
-top.  The rank is the number of pivot rows.
+top.  The rank is the number of pivot rows.  Each elimination step must
+clear the row's top column; a step that does not raises ``AssertionError``
+naming the column, so a fault there fails at once instead of looping.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ def rank_int(rows: list[dict[int, int]], ncols: int) -> int:
                     row[c] = w
                 else:
                     del row[c]
+            if top in row:
+                raise AssertionError(f"integer elimination left column {top} in its row")
             if s != 1 and row:
                 g = gcd(*row.values())
                 if g > 1:
@@ -81,4 +85,6 @@ def rank_gf2(rows: list[int], ncols: int) -> int:
                 pivots[top] = r
                 break
             r ^= piv
+            if r.bit_length() >= top:
+                raise AssertionError(f"GF(2) elimination left column {top - 1} in its row")
     return len(pivots)

@@ -44,6 +44,10 @@ _MIN_VERTICES = {"cycle": 3, "forest": 2, "unicyclic": 4}
 # most instances a campaign or structure run may enumerate, read at each run
 MAX_INSTANCES = 100_000
 
+# the raw-ideal sampler's bounds, also written, in this order, at the end of
+# every campaign spec's JSON
+RAW_BOUNDS = {"raw_max_variables": 4, "raw_max_generators": 4, "raw_max_exponent": 3}
+
 
 # -- records and reports -----------------------------------------------------
 
@@ -111,29 +115,25 @@ class _Report:
 
 class CampaignSpec:
     """Deterministic description of a verification campaign, checked whole
-    when it is built."""
+    when it is built.  Its JSON ends with the raw-ideal sampler's fixed
+    bounds, ``RAW_BOUNDS``."""
 
     __slots__ = ("family", "n_values", "t_values", "weight_alphabet", "seed", "exhaustive_cap",
-                 "sample_size", "field", "lattice_cap", "workers",
-                 # raw-ideal family parameters
-                 "raw_max_variables", "raw_max_generators", "raw_max_exponent")
+                 "sample_size", "field", "lattice_cap", "workers")
 
     def __init__(
         self, family: str, n_values: tuple[int, ...], t_values: tuple[int, ...],
         weight_alphabet: tuple[int, ...] = (2, 3), seed: int = 0, exhaustive_cap: int = 16,
         sample_size: int = 10, field: str = "Q", lattice_cap: int = DEFAULT_LATTICE_CAP,
-        workers: int = 1, raw_max_variables: int = 4, raw_max_generators: int = 4,
-        raw_max_exponent: int = 3,
+        workers: int = 1,
     ):
         self.family, self.n_values, self.t_values = family, n_values, t_values
         self.weight_alphabet, self.seed, self.exhaustive_cap = weight_alphabet, seed, exhaustive_cap
         self.sample_size, self.field, self.lattice_cap = sample_size, field, lattice_cap
-        self.workers, self.raw_max_variables = workers, raw_max_variables
-        self.raw_max_generators, self.raw_max_exponent = raw_max_generators, raw_max_exponent
+        self.workers = workers
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        for name in ("seed", "exhaustive_cap", "sample_size", "workers", "lattice_cap",
-                     "raw_max_variables", "raw_max_generators", "raw_max_exponent"):
+        for name in ("seed", "exhaustive_cap", "sample_size", "workers", "lattice_cap"):
             if type(getattr(self, name)) is not int:  # bool is refused too
                 raise ValueError(f"{name}= must be a plain int, got {getattr(self, name)!r}")
         for name, flag in (("n_values", "n"), ("t_values", "t"), ("weight_alphabet", "weights")):
@@ -168,7 +168,7 @@ class CampaignSpec:
             )
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self.__slots__} | RAW_BOUNDS
 
 
 class VerificationRecord(_Record):
@@ -317,21 +317,16 @@ def pendant_path_graph(path_len: int, weights: Iterable[int]) -> WeightedDigraph
     return WeightedDigraph(list(zip(names, weights)), edges + list(zip(path, path[1:])))
 
 
-def random_monomial_ideal(
-    rng: random.Random,
-    max_variables: int = 4,
-    max_generators: int = 4,
-    max_exponent: int = 3,
-) -> MonomialIdeal:
-    """A small random nonzero monomial ideal on 2..max_variables variables
-    (used by seeded corpora)."""
-    nvars = rng.randint(2, max_variables)
+def random_monomial_ideal(rng: random.Random) -> MonomialIdeal:
+    """A small random nonzero monomial ideal, drawn within ``RAW_BOUNDS``:
+    2 to 4 variables, 1 to 4 generators, exponents 0 to 3, no generator 1."""
+    nvars = rng.randint(2, RAW_BOUNDS["raw_max_variables"])
     variables = VariableSet([f"x{i + 1}" for i in range(nvars)])
     gens = []
-    for _ in range(rng.randint(1, max_generators)):
+    for _ in range(rng.randint(1, RAW_BOUNDS["raw_max_generators"])):
         exps = [0] * nvars
         while not any(exps):
-            exps = [rng.randint(0, max_exponent) for _ in range(nvars)]
+            exps = [rng.randint(0, RAW_BOUNDS["raw_max_exponent"]) for _ in range(nvars)]
         gens.append(Monomial.from_dense(variables, exps))
     return MonomialIdeal(variables, gens)
 
@@ -345,10 +340,7 @@ def _family_members(spec: CampaignSpec, label: str = "") -> Iterator[tuple]:
     _check_instance_count(spec)
     if spec.family == "raw-ideal":
         for k in range(spec.sample_size):
-            ideal = random_monomial_ideal(
-                random.Random(f"{spec.seed}:raw:{k}"), spec.raw_max_variables,
-                spec.raw_max_generators, spec.raw_max_exponent,
-            )
+            ideal = random_monomial_ideal(random.Random(f"{spec.seed}:raw:{k}"))
             yield f"raw k={k} I={ideal}", (), None, ideal
         return
     for n in sorted(spec.n_values):

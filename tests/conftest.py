@@ -63,14 +63,18 @@ def ideal_pairs(draw, n_vars: int = 3, max_gens: int = 3, max_exp: int = 3):
 
 
 def seeded_random_ideal(seed: str, max_variables=4, max_generators=4, max_exponent=3) -> MonomialIdeal:
-    from edgereg.verify import random_monomial_ideal
-
-    return random_monomial_ideal(
-        random.Random(seed),
-        max_variables=max_variables,
-        max_generators=max_generators,
-        max_exponent=max_exponent,
-    )
+    """``verify.random_monomial_ideal`` with settable bounds: at its fixed
+    bounds (the defaults here) it draws the same ideal from the same seed."""
+    rng = random.Random(seed)
+    nvars = rng.randint(2, max_variables)
+    variables = variable_set(nvars)
+    gens = []
+    for _ in range(rng.randint(1, max_generators)):
+        exps = [0] * nvars
+        while not any(exps):
+            exps = [rng.randint(0, max_exponent) for _ in range(nvars)]
+        gens.append(Monomial.from_dense(variables, exps))
+    return MonomialIdeal(variables, gens)
 
 
 @pytest.fixture

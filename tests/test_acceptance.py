@@ -8,7 +8,6 @@ criterion fails its test.
 
 from __future__ import annotations
 
-import random
 import time
 from itertools import product as iter_product
 
@@ -33,11 +32,11 @@ from edgereg.ring import Monomial, VariableSet
 from edgereg.verify import (
     CampaignSpec,
     enumerate_instances,
-    random_monomial_ideal,
     run_campaign,
     run_reference_examples,
 )
 
+from conftest import seeded_random_ideal
 from oracles import monomial_product, private_variable_regularity
 
 pytestmark = pytest.mark.acceptance
@@ -147,12 +146,7 @@ def _sweep_ideals() -> list[MonomialIdeal]:
 def test_criterion_4_polarization_invariance():
     corpus = _sweep_ideals()
     for k in range(50):
-        corpus.append(
-            random_monomial_ideal(
-                random.Random(f"acceptance-polarization:{k}"),
-                max_variables=4, max_generators=4, max_exponent=3,
-            )
-        )
+        corpus.append(seeded_random_ideal(f"acceptance-polarization:{k}"))
     for ideal in corpus:
         plain = betti_table(ideal, "Q")
         polar = betti_table(polarize(ideal), "Q")
@@ -254,8 +248,8 @@ def test_criterion_7_regularity_lemmas():
 
     # disjoint-support additivity, 20 seeded cases
     for k in range(20):
-        a = random_monomial_ideal(random.Random(f"acceptance-add-a:{k}"), max_variables=3)
-        b = random_monomial_ideal(random.Random(f"acceptance-add-b:{k}"), max_variables=3)
+        a = seeded_random_ideal(f"acceptance-add-a:{k}", max_variables=3)
+        b = seeded_random_ideal(f"acceptance-add-b:{k}", max_variables=3)
         names = list(a.variables.names) + [f"y{i + 1}" for i in range(len(b.variables))]
         wide = VariableSet(names)
         offset = len(a.variables)
@@ -268,7 +262,7 @@ def test_criterion_7_regularity_lemmas():
 
     # disjoint monomial multiple shifts the regularity by its degree
     for k in range(20):
-        a = random_monomial_ideal(random.Random(f"acceptance-mul:{k}"), max_variables=3)
+        a = seeded_random_ideal(f"acceptance-mul:{k}", max_variables=3)
         wide = VariableSet(list(a.variables.names) + ["u"])
         d = 1 + k % 4
         u = Monomial.from_dense(wide, (0,) * len(a.variables) + (d,))
@@ -281,9 +275,7 @@ def test_criterion_7_regularity_lemmas():
     # private-variable fast path agrees with the engine wherever it applies
     applicable = 0
     for k in range(40):
-        ideal = random_monomial_ideal(
-            random.Random(f"acceptance-private:{k}"), max_exponent=1
-        )
+        ideal = seeded_random_ideal(f"acceptance-private:{k}", max_exponent=1)
         fast = private_variable_regularity(ideal)
         if fast is not None:
             assert fast == regularity(ideal), f"case {k}"

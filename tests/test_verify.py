@@ -26,6 +26,8 @@ from edgereg.verify import (
     run_structure_checks,
 )
 
+from conftest import seeded_random_ideal
+
 
 class TestReferenceExamples:
     def test_all_reference_instances_pass(self):
@@ -100,6 +102,11 @@ class TestCampaigns:
         assert report.exit_code() == 0
         assert len(report.records) == 6
         assert all(r.match for r in report.records)
+
+    def test_raw_ideals_are_the_corpora_sampler_at_its_default_bounds(self):
+        for k in range(100):
+            drawn = verify.random_monomial_ideal(random.Random(f"bounds:{k}"))
+            assert drawn == seeded_random_ideal(f"bounds:{k}")
 
     def test_sampling_kicks_in_past_the_cap(self):
         spec = small_cycle_spec(n_values=(5,), t_values=(1,), exhaustive_cap=16, sample_size=10)
@@ -359,12 +366,19 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("field", [
         "seed", "exhaustive_cap", "sample_size", "workers", "lattice_cap",
-        "raw_max_variables", "raw_max_generators", "raw_max_exponent",
     ])
     @pytest.mark.parametrize("value", [True, False, 2.0, "3", None])
     def test_scalar_fields_that_are_not_plain_ints(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field}= must be a plain int"):
             small_cycle_spec(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("raw_max_variables", 1), ("raw_max_generators", 0), ("raw_max_exponent", 0),
+    ])
+    def test_the_raw_sampler_bounds_are_not_settable(self, field, value):
+        # each of these values once left a raw-ideal campaign unable to draw
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{field}'"):
+            CampaignSpec(family="raw-ideal", n_values=(1,), t_values=(1,), **{field: value})
 
     @pytest.mark.parametrize("field, flag, values", [
         ("t_values", "t", (0,)), ("t_values", "t", (2, -1)), ("weight_alphabet", "weights", (0, 2)),
